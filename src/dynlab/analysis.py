@@ -9,10 +9,10 @@ check.
 
 Attractor classification is threshold-based on the spectrum: a positive
 largest exponent means chaos, one near-zero exponent a periodic orbit, two or
-more a torus, all-negative an equilibrium (confirmed against the terminal
-samples).  Parameter scans sweep one of C, D, E, F (full system) or K
-(reduced system), recording the spectrum, the classification, and the
-post-transient local maxima of y1 for bifurcation diagrams.
+more a torus, all-negative an equilibrium.  Parameter scans sweep one of C,
+D, E, F (full system) or K (reduced system), recording the spectrum, the
+classification, and the post-transient local maxima of y1 for bifurcation
+diagrams.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def equilibrium_stability(p: Params) -> np.ndarray:
 
 
 def classify(report: LyapunovReport, traj: Trajectory, eps_zero: float = 1e-3) -> str:
-    """Map a spectrum (plus terminal samples) to an attractor class.
+    """Map a spectrum to an attractor class; `traj` is not consulted.
 
     Chaotic when the largest exponent clears eps_zero; a single near-zero
     exponent marks a periodic orbit, two or more a torus; all-negative is an

@@ -397,14 +397,13 @@ def cmd_reduce(cfg: dict, out_override: str | None) -> int:
     zero_tol = cfg["reduce"]["zero_tol"]
     try:
         comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
-        full_traj = integrate(full_system(p).field, y0, 0.0, t_total, stride, icfg)
     except (NotOnLimitSetError, RatioInconsistencyError) as exc:
         print(f"dynlab reduce: {exc}", file=sys.stderr)
         return EXIT_NOT_ON_LIMIT_SET
     except IntegrationError as exc:
         print(f"dynlab reduce: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    drift = k_drift(full_traj, zero_tol=zero_tol)
+    drift = k_drift(comparison.full_trajectory, zero_tol=zero_tol)
     drift_rows = zip(drift.times.tolist(), drift.estimates.tolist())
     _write_text(
         os.path.join(directory, "k_drift.csv"), _csv_text(["t", "K"], drift_rows)

@@ -5,14 +5,27 @@ Two methods:
 * ``adaptive-DP54`` -- Dormand-Prince 5(4) embedded pair with the FSAL stage
   reused, weighted-RMS error control (scale = abs_tol + rel_tol * max(|y|
   before, after)), safety factor 0.9 and step-factor clamp [0.2, 5.0].
-* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init,
-  kept as an independent cross-check.
+* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init on
+  numpy arrays, kept as an independent cross-check.
+
+The DP54 stepper works on Python floats: the state, the seven stages, the
+error norm and the step-size controller are lists and floats, because at five
+(or thirty) components numpy's per-call overhead costs more than the
+arithmetic.  It calls a float kernel ``kernel(t, y: list) -> list``.  A field
+that carries one as its ``kernel`` attribute (the callables of
+``model.full_system`` / ``model.reduced_system``) is called through it;
+any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
+``f(t, np.array(y)).ravel().tolist()``.  The kernel and the field compute the
+same formula, so both routes give bitwise-identical results.  The same holds
+for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
+tangent frame is formed from those entries by one routine either way.
 
 Output samples are obtained by capping steps exactly at each output time; no
 dense interpolation is ever used, so sampled states carry only the
-integration error itself.  Any state component that leaves [-1e12, 1e12] or
-goes non-finite aborts with BlowUpError.  All routines are deterministic:
-identical inputs produce bitwise-identical results on one platform.
+integration error itself.  A stage state that goes non-finite, or a new state
+with any component non-finite or outside [-1e12, 1e12], aborts with
+BlowUpError.  All routines are deterministic: identical inputs produce
+bitwise-identical results on one platform.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ import numpy as np
 
 from .errors import (
     BlowUpError,
+    DimensionMismatchError,
     IntegrationError,
     InvalidStateError,
     StepBudgetError,
@@ -43,37 +57,29 @@ __all__ = [
 
 BLOWUP_THRESHOLD = 1e12
 
-# Dormand-Prince 5(4) tableau.  Row 7 equals the 5th-order weights (FSAL).
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    np.array([0.2]),
-    np.array([3.0 / 40.0, 9.0 / 40.0]),
-    np.array([44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0]),
-    np.array([19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0]),
-    np.array(
-        [
-            9017.0 / 3168.0,
-            -355.0 / 33.0,
-            46732.0 / 5247.0,
-            49.0 / 176.0,
-            -5103.0 / 18656.0,
-        ]
-    ),
-    np.array(
-        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0]
-    ),
+# Dormand-Prince 5(4) tableau: nodes c, stage weights a, 5th-order weights b
+# (also the FSAL row) and e = b - b*, the difference to the embedded
+# 4th-order weights.  b2 and e2 are zero and left out of the sums.
+_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
+_A21 = 0.2
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0,
+    -355.0 / 33.0,
+    46732.0 / 5247.0,
+    49.0 / 176.0,
+    -5103.0 / 18656.0,
 )
-# Difference between the 5th- and embedded 4th-order weights.
-_DP_E = np.array(
-    [
-        71.0 / 57600.0,
-        0.0,
-        -71.0 / 16695.0,
-        71.0 / 1920.0,
-        -17253.0 / 339200.0,
-        22.0 / 525.0,
-        -1.0 / 40.0,
-    ]
+_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
 )
 
 _SAFETY = 0.9
@@ -167,68 +173,115 @@ def _validate_initial(y0) -> np.ndarray:
     return y
 
 
-def _check_blowup(y: np.ndarray, t: float):
-    if not np.all(np.isfinite(y)) or np.abs(y).max() > BLOWUP_THRESHOLD:
-        raise BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=y)
+def _finite(v: list) -> bool:
+    """Whether every component of v is finite.
+
+    NaN and inf carry through a sum, and inf - inf is NaN.  A sum of finite
+    components past 1.8e308 fails too; a state that large has blown up anyway.
+    """
+    s = sum(v)
+    return s - s == 0.0
+
+
+def _check_blowup(y: list, t: float):
+    # min() and max() skip a NaN that is not the first element (comparisons
+    # with NaN are false), hence the separate finiteness test.
+    if not (_finite(y) and -BLOWUP_THRESHOLD <= min(y) and max(y) <= BLOWUP_THRESHOLD):
+        raise BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=np.array(y))
+
+
+def _float_kernel(fn):
+    """The callable's own float kernel, or the adapter around its array form."""
+    kernel = getattr(fn, "kernel", None)
+    if kernel is not None:
+        return kernel
+    return lambda t, y: fn(t, np.array(y)).ravel().tolist()
 
 
 class _Dp54Stepper:
-    """Adaptive driver advancing one solution; holds FSAL cache and counters."""
+    """Adaptive stepper advancing one solution on floats; holds FSAL cache and counters."""
 
-    def __init__(self, field, t0: float, y0: np.ndarray, cfg: IntegratorConfig):
-        self.field = field
+    def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
+        self.kernel = kernel
         self.cfg = cfg
-        self.t = t0
+        self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
         self.y = y0
-        self.k1 = self._eval(t0, y0)
+        self.k1 = kernel(self.t, y0)
+        if len(self.k1) != len(y0):
+            raise DimensionMismatchError(
+                f"field returned {len(self.k1)} components for a {len(y0)}-vector"
+            )
         self.h_prop = min(cfg.h_init, cfg.h_max)
         self.steps_taken = 0
         self.steps_rejected = 0
-        self._K = None
 
-    def _eval(self, t, y):
-        try:
-            return self.field(t, y)
-        except InvalidStateError as exc:
+    def _stage(self, t: float, ys: list) -> list:
+        if not _finite(ys):
             raise BlowUpError(
-                f"non-finite state during step at t = {t!r}", t=t, last_state=self.y
-            ) from exc
+                f"non-finite state during step at t = {t!r}", t=t, last_state=np.array(self.y)
+            )
+        return self.kernel(t, ys)
 
     def refresh_derivative(self):
-        """Recompute the cached derivative after the state was edited in place."""
-        self.k1 = self._eval(self.t, self.y)
+        """Recompute the cached derivative after the state was replaced."""
+        self.k1 = self.kernel(self.t, self.y)
 
     def step_to(self, t_target: float):
         cfg = self.cfg
+        atol, rtol = cfg.abs_tol, cfg.rel_tol
+        stage = self._stage
         snap = 1e-13 * max(1.0, abs(t_target))
         while t_target - self.t > snap:
             if self.steps_taken + self.steps_rejected >= cfg.max_steps:
                 raise StepBudgetError(
                     f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}",
                     t=self.t,
-                    last_state=self.y,
+                    last_state=np.array(self.y),
                 )
             remaining = t_target - self.t
             capped = self.h_prop >= remaining
             h = remaining if capped else self.h_prop
 
             t, y, k1 = self.t, self.y, self.k1
-            K = self._K
-            if K is None or K.shape[1] != y.size:
-                K = self._K = np.empty((7, y.size))
-            K[0] = k1
-            for i in range(5):
-                ys = y + h * np.dot(_DP_A[i], K[: i + 1])
-                K[i + 1] = self._eval(t + _DP_C[i] * h, ys)
-            y_new = y + h * np.dot(_DP_A[5], K[:6])
+            k2 = stage(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
+            k3 = stage(
+                t + _C3 * h, [u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)]
+            )
+            k4 = stage(
+                t + _C4 * h,
+                [u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)],
+            )
+            k5 = stage(
+                t + _C5 * h,
+                [
+                    u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                    for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+                ],
+            )
+            k6 = stage(
+                t + h,
+                [
+                    u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                    for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+                ],
+            )
+            y_new = [
+                u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+                for u, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+            ]
             _check_blowup(y_new, t + h)
-            k7 = self._eval(t + h, y_new)
-            K[6] = k7
-            err = h * np.dot(_DP_E, K)
+            k7 = self.kernel(t + h, y_new)
 
-            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = err / scale
-            err_norm = math.sqrt(float(np.dot(ratio, ratio)) / ratio.size)
+            sq = 0.0
+            for u, v, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                u, v = abs(u), abs(v)  # finite here; max() would cost a call
+                r = (
+                    h
+                    * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+                    / (atol + rtol * (u if u > v else v))
+                )
+                sq += r * r
+            err_norm = math.sqrt(sq / len(y))
 
             if err_norm <= 1.0:
                 t_new = t + h
@@ -247,7 +300,7 @@ class _Dp54Stepper:
                     raise StiffnessError(
                         f"step size fell below h_min = {cfg.h_min!r} at t = {self.t!r}",
                         t=self.t,
-                        last_state=self.y,
+                        last_state=np.array(self.y),
                     )
         self.t = t_target
 
@@ -259,9 +312,9 @@ def _controller_factor(err_norm: float) -> float:
 
 
 class _Rk4Stepper:
-    """Fixed-step classical RK4 driver with the same interface."""
+    """Fixed-step classical RK4 stepper with the same interface (state as a list)."""
 
-    def __init__(self, field, t0: float, y0: np.ndarray, cfg: IntegratorConfig):
+    def __init__(self, field, t0: float, y0: list, cfg: IntegratorConfig):
         self.field = field
         self.cfg = cfg
         self.t = t0
@@ -280,10 +333,10 @@ class _Rk4Stepper:
                 raise StepBudgetError(
                     f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}",
                     t=self.t,
-                    last_state=self.y,
+                    last_state=np.array(self.y),
                 )
             h = min(cfg.h_init, t_target - self.t)
-            self.y = fixed_rk4_step(self.field, self.y, self.t, h)
+            self.y = fixed_rk4_step(self.field, np.array(self.y), self.t, h).tolist()
             t_new = self.t + h
             self.t = t_target if abs(t_new - t_target) <= snap else t_new
             self.steps_taken += 1
@@ -300,13 +353,14 @@ def fixed_rk4_step(field, y, t: float, h: float) -> np.ndarray:
     k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = field(t + h, y + h * k3)
     y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_blowup(y_new, t + h)
+    _check_blowup(y_new.tolist(), t + h)
     return y_new
 
 
-def _make_stepper(field, t0, y0, cfg):
+def _make_stepper(kernel, field, t0: float, y0: list, cfg: IntegratorConfig):
+    """DP54 on the float kernel, or RK4 on the array field."""
     if cfg.method == "adaptive-DP54":
-        return _Dp54Stepper(field, t0, y0, cfg)
+        return _Dp54Stepper(kernel, t0, y0, cfg)
     return _Rk4Stepper(field, t0, y0, cfg)
 
 
@@ -334,10 +388,10 @@ def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: Integrato
     times = _output_times(t0, t1, out_stride)
     states = np.empty((times.size, y.size))
     states[0] = y
-    stepper = _make_stepper(field, t0, y, cfg)
-    for i in range(1, times.size):
+    stepper = _make_stepper(_float_kernel(field), field, t0, y.tolist(), cfg)
+    for i, te in enumerate(times.tolist()[1:], start=1):
         try:
-            stepper.step_to(times[i])
+            stepper.step_to(te)
         except IntegrationError as exc:
             exc.partial_traj = Trajectory(
                 times=times[:i],
@@ -363,6 +417,23 @@ def _orthonormalize(frame: np.ndarray):
     diag = np.diag(r).copy()
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs, np.abs(diag)
+
+
+def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
+    """Float kernel of the state and its frame: y' = f(y), Q' = J(y) Q.
+
+    Y holds y followed by the d x d frame row-major.  J Q is formed here, by
+    one numpy product of the Jacobian's row-major entries and the frame, so a
+    Jacobian kernel and the adapter around an array Jacobian share it.  (The
+    same product as float dot products made a 30-D step about 1.7x slower.)
+    """
+
+    def aug(t, Y):
+        y = Y[:d]
+        jq = np.array(jacobian_kernel(t, y)).reshape(d, d) @ np.array(Y[d:]).reshape(d, d)
+        return field_kernel(t, y) + jq.ravel().tolist()
+
+    return aug
 
 
 def integrate_with_tangents(
@@ -391,11 +462,7 @@ def integrate_with_tangents(
         raise InvalidStateError("initial frame is not orthonormal")
 
     d = bundle0.base.size
-
-    def aug_field(t, Y):
-        y = Y[:d]
-        q = Y[d:].reshape(d, d)
-        return np.concatenate((field(t, y), (jacobian(t, y) @ q).ravel()))
+    aug = _tangent_kernel(_float_kernel(field), _float_kernel(jacobian), d)
 
     renorm_times = _output_times(t0, t1, renorm_interval)[1:]
     sample_times = _output_times(t0, t1, out_stride) if out_stride else None
@@ -403,8 +470,8 @@ def integrate_with_tangents(
     sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
     event_times = sorted(renorm_set | sample_set)
 
-    Y0 = np.concatenate((bundle0.base, bundle0.frame.ravel()))
-    stepper = _make_stepper(aug_field, t0, Y0, cfg)
+    Y0 = bundle0.base.tolist() + bundle0.frame.ravel().tolist()
+    stepper = _make_stepper(aug, lambda t, Y: np.array(aug(t, Y.tolist())), t0, Y0, cfg)
 
     log_times, log_dts, log_rows = [], [], []
     samples = [bundle0.base.copy()] if sample_times is not None else None
@@ -430,26 +497,28 @@ def integrate_with_tangents(
         for te in event_times:
             stepper.step_to(te)
             if te in sample_set:
-                samples.append(stepper.y[:d].copy())
+                samples.append(stepper.y[:d])
             if te in renorm_set:
-                frame = stepper.y[d:].reshape(d, d)
+                frame = np.array(stepper.y[d:]).reshape(d, d)
                 q, stretches = _orthonormalize(frame)
                 if np.any(stretches == 0.0):
                     raise BlowUpError(
                         f"tangent frame degenerated at t = {te!r}",
                         t=te,
-                        last_state=stepper.y[:d],
+                        last_state=np.array(stepper.y[:d]),
                     )
                 log_times.append(te)
                 log_dts.append(te - last_renorm_t)
                 log_rows.append(np.log(stretches))
                 last_renorm_t = te
-                stepper.y = np.concatenate((stepper.y[:d], q.ravel()))
+                stepper.y = stepper.y[:d] + q.ravel().tolist()
                 stepper.refresh_derivative()
     except BlowUpError as exc:
         exc.partial_log, exc.partial_traj = _partial_results()
         raise
 
     log, traj = _partial_results()
-    bundle = TangentBundle(base=stepper.y[:d].copy(), frame=stepper.y[d:].reshape(d, d).copy())
+    bundle = TangentBundle(
+        base=np.array(stepper.y[:d]), frame=np.array(stepper.y[d:]).reshape(d, d)
+    )
     return bundle, log, traj

@@ -24,8 +24,10 @@ into the three-dimensional reduced system
 All four constants C, D, E, F are dimensionless; C < 0 is the dissipative
 regime.  G and M are evaluated once per call so that components share bitwise
 identical subexpressions (several identity checks compare them at round-off
-level).  States are plain float64 numpy vectors; non-finite input raises
-InvalidStateError everywhere.
+level).  The public functions take float64 numpy vectors and raise
+InvalidStateError on non-finite input.  Each formula is written once, as an
+unvalidated float kernel; the public functions validate and call it, and the
+systems built by `full_system` / `reduced_system` hand it to the integrator.
 """
 
 from __future__ import annotations
@@ -115,94 +117,122 @@ def _as_state(y, dim: int) -> list:
     return vals
 
 
-def full_vector_field(y, p: Params) -> np.ndarray:
-    """Right-hand side of the full five-dimensional system."""
-    y1, y2, y3, y4, y5 = _as_state(y, 5)
+# --- float kernels -----------------------------------------------------------
+# Each right-hand side and Jacobian is written once, here, without validation.
+# The state components and constants may be Python floats (the integrator's
+# stepper) or equal-length numpy columns (the vectorised verification suite);
+# every operation is elementwise, so both give the same bits per state.
+
+
+def _full_rhs(y, C, D, E, F) -> list:
+    """Full field at y = (y1, ..., y5), as a list of its five components."""
+    y1, y2, y3, y4, y5 = y
     G = y3 + 0.125 * (y1 * y1 + y2 * y2 + y4 * y4 + y5 * y5)
     M = y1 * y5 - y2 * y4
-    return np.array(
-        [
-            p.C * y1 - G * y2 - 0.75 * M * y4 + 2.0 * y2,
-            p.C * y2 + G * y1 - 0.75 * M * y5 + 2.0 * y1,
-            p.D * (y1 * y2 + y4 * y5) + p.E * y3 + p.F,
-            p.C * y4 - G * y5 + 0.75 * M * y1 + 2.0 * y5,
-            p.C * y5 + G * y4 + 0.75 * M * y2 + 2.0 * y4,
-        ]
-    )
+    return [
+        C * y1 - G * y2 - 0.75 * M * y4 + 2.0 * y2,
+        C * y2 + G * y1 - 0.75 * M * y5 + 2.0 * y1,
+        D * (y1 * y2 + y4 * y5) + E * y3 + F,
+        C * y4 - G * y5 + 0.75 * M * y1 + 2.0 * y5,
+        C * y5 + G * y4 + 0.75 * M * y2 + 2.0 * y4,
+    ]
+
+
+def _full_jac(y, C, D, E) -> list:
+    """Row-major entries of the 5x5 Jacobian of the full field."""
+    y1, y2, y3, y4, y5 = y
+    G = y3 + 0.125 * (y1 * y1 + y2 * y2 + y4 * y4 + y5 * y5)
+    M = y1 * y5 - y2 * y4
+    return [
+        C - 0.25 * y1 * y2 - 0.75 * y4 * y5,
+        -G - 0.25 * y2 * y2 + 0.75 * y4 * y4 + 2.0,
+        -y2,
+        0.5 * y2 * y4 - 0.75 * M,
+        -0.25 * y2 * y5 - 0.75 * y1 * y4,
+        G + 0.25 * y1 * y1 - 0.75 * y5 * y5 + 2.0,
+        C + 0.25 * y1 * y2 + 0.75 * y4 * y5,
+        y1,
+        0.25 * y1 * y4 + 0.75 * y2 * y5,
+        -0.5 * y1 * y5 - 0.75 * M,
+        D * y2,
+        D * y1,
+        E,
+        D * y5,
+        D * y4,
+        0.5 * y1 * y5 + 0.75 * M,
+        -0.25 * y2 * y5 - 0.75 * y1 * y4,
+        -y5,
+        C - 0.25 * y4 * y5 - 0.75 * y1 * y2,
+        -G - 0.25 * y5 * y5 + 0.75 * y1 * y1 + 2.0,
+        0.25 * y1 * y4 + 0.75 * y2 * y5,
+        -0.5 * y2 * y4 + 0.75 * M,
+        y4,
+        G + 0.25 * y4 * y4 - 0.75 * y2 * y2 + 2.0,
+        C + 0.25 * y4 * y5 + 0.75 * y1 * y2,
+    ]
+
+
+def _reduced_rhs(z, K, C, D, E, F) -> list:
+    """Reduced field on the K-plane at z = (z1, z2, z3)."""
+    z1, z2, z3 = z
+    q = 1.0 + K * K
+    Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
+    return [
+        C * z1 - Gk * z2 + 2.0 * z2,
+        C * z2 + Gk * z1 + 2.0 * z1,
+        D * q * z1 * z2 + E * z3 + F,
+    ]
+
+
+def _reduced_jac(z, K, C, D, E) -> list:
+    """Row-major entries of the 3x3 Jacobian of the reduced field."""
+    z1, z2, z3 = z
+    q = 1.0 + K * K
+    Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
+    kq = 0.25 * q
+    return [
+        C - kq * z1 * z2,
+        -Gk - kq * z2 * z2 + 2.0,
+        -z2,
+        Gk + kq * z1 * z1 + 2.0,
+        C + kq * z1 * z2,
+        z1,
+        D * q * z2,
+        D * q * z1,
+        E,
+    ]
+
+
+# --- validated public forms --------------------------------------------------
+
+
+def _check_k(K: float):
+    if not math.isfinite(K):
+        raise InvalidStateError(f"K is not finite: {K!r}")
+
+
+def full_vector_field(y, p: Params) -> np.ndarray:
+    """Right-hand side of the full five-dimensional system."""
+    return np.array(_full_rhs(_as_state(y, 5), p.C, p.D, p.E, p.F))
 
 
 def full_jacobian(y, p: Params) -> np.ndarray:
     """Analytic 5x5 partial-derivative matrix of full_vector_field."""
-    y1, y2, y3, y4, y5 = _as_state(y, 5)
-    C = p.C
-    G = y3 + 0.125 * (y1 * y1 + y2 * y2 + y4 * y4 + y5 * y5)
-    M = y1 * y5 - y2 * y4
-    return np.array(
-        [
-            [
-                C - 0.25 * y1 * y2 - 0.75 * y4 * y5,
-                -G - 0.25 * y2 * y2 + 0.75 * y4 * y4 + 2.0,
-                -y2,
-                0.5 * y2 * y4 - 0.75 * M,
-                -0.25 * y2 * y5 - 0.75 * y1 * y4,
-            ],
-            [
-                G + 0.25 * y1 * y1 - 0.75 * y5 * y5 + 2.0,
-                C + 0.25 * y1 * y2 + 0.75 * y4 * y5,
-                y1,
-                0.25 * y1 * y4 + 0.75 * y2 * y5,
-                -0.5 * y1 * y5 - 0.75 * M,
-            ],
-            [p.D * y2, p.D * y1, p.E, p.D * y5, p.D * y4],
-            [
-                0.5 * y1 * y5 + 0.75 * M,
-                -0.25 * y2 * y5 - 0.75 * y1 * y4,
-                -y5,
-                C - 0.25 * y4 * y5 - 0.75 * y1 * y2,
-                -G - 0.25 * y5 * y5 + 0.75 * y1 * y1 + 2.0,
-            ],
-            [
-                0.25 * y1 * y4 + 0.75 * y2 * y5,
-                -0.5 * y2 * y4 + 0.75 * M,
-                y4,
-                G + 0.25 * y4 * y4 - 0.75 * y2 * y2 + 2.0,
-                C + 0.25 * y4 * y5 + 0.75 * y1 * y2,
-            ],
-        ]
-    )
+    return np.array(_full_jac(_as_state(y, 5), p.C, p.D, p.E)).reshape(5, 5)
 
 
 def reduced_vector_field(z, K: float, p: Params) -> np.ndarray:
     """Right-hand side of the reduced third-order system on a K-plane."""
-    z1, z2, z3 = _as_state(z, 3)
-    if not math.isfinite(K):
-        raise InvalidStateError(f"K is not finite: {K!r}")
-    q = 1.0 + K * K
-    Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
-    return np.array(
-        [
-            p.C * z1 - Gk * z2 + 2.0 * z2,
-            p.C * z2 + Gk * z1 + 2.0 * z1,
-            p.D * q * z1 * z2 + p.E * z3 + p.F,
-        ]
-    )
+    z = _as_state(z, 3)
+    _check_k(K)
+    return np.array(_reduced_rhs(z, K, p.C, p.D, p.E, p.F))
 
 
 def reduced_jacobian(z, K: float, p: Params) -> np.ndarray:
     """Analytic 3x3 partial-derivative matrix of reduced_vector_field."""
-    z1, z2, z3 = _as_state(z, 3)
-    if not math.isfinite(K):
-        raise InvalidStateError(f"K is not finite: {K!r}")
-    q = 1.0 + K * K
-    Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
-    kq = 0.25 * q
-    return np.array(
-        [
-            [p.C - kq * z1 * z2, -Gk - kq * z2 * z2 + 2.0, -z2],
-            [Gk + kq * z1 * z1 + 2.0, p.C + kq * z1 * z2, z1],
-            [p.D * q * z2, p.D * q * z1, p.E],
-        ]
-    )
+    z = _as_state(z, 3)
+    _check_k(K)
+    return np.array(_reduced_jac(z, K, p.C, p.D, p.E)).reshape(3, 3)
 
 
 def equilibrium(p: Params) -> np.ndarray:
@@ -234,26 +264,50 @@ def lift(z, K) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DynamicalSystem:
-    """A vector field with its Jacobian in integrator signature f(t, y)."""
+    """A vector field with its Jacobian in integrator signature f(t, y).
+
+    Both callables take and return numpy arrays and validate the state.  The
+    ones built by `full_system` and `reduced_system` also carry a `kernel`
+    attribute: the same formula on a list of floats, unvalidated, returning
+    a list (the Jacobian's d*d entries row-major).  The integrator calls a
+    kernel directly when there is one.
+    """
 
     field: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Callable[[float, np.ndarray], np.ndarray]
     dim: int
 
 
+def _kernel_system(field_kernel, jacobian_kernel, dim: int) -> DynamicalSystem:
+    """Validated array callables around two float kernels."""
+
+    def field(t, y):
+        return np.array(field_kernel(t, _as_state(y, dim)))
+
+    def jacobian(t, y):
+        return np.array(jacobian_kernel(t, _as_state(y, dim))).reshape(dim, dim)
+
+    field.kernel = field_kernel
+    jacobian.kernel = jacobian_kernel
+    return DynamicalSystem(field=field, jacobian=jacobian, dim=dim)
+
+
 def full_system(p: Params) -> DynamicalSystem:
     """The full 5-D system packaged for the integrator."""
-    return DynamicalSystem(
-        field=lambda t, y: full_vector_field(y, p),
-        jacobian=lambda t, y: full_jacobian(y, p),
-        dim=5,
+    C, D, E, F = p.C, p.D, p.E, p.F
+    return _kernel_system(
+        lambda t, y: _full_rhs(y, C, D, E, F),
+        lambda t, y: _full_jac(y, C, D, E),
+        5,
     )
 
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
     """The reduced 3-D system on the K-plane, packaged for the integrator."""
-    return DynamicalSystem(
-        field=lambda t, z: reduced_vector_field(z, K, p),
-        jacobian=lambda t, z: reduced_jacobian(z, K, p),
-        dim=3,
+    _check_k(K)
+    C, D, E, F = p.C, p.D, p.E, p.F
+    return _kernel_system(
+        lambda t, z: _reduced_rhs(z, K, C, D, E, F),
+        lambda t, z: _reduced_jac(z, K, C, D, E),
+        3,
     )

@@ -37,6 +37,7 @@ class ReductionComparison:
     max_state_deviation: float
     horizon: float
     tol_used: float
+    full_trajectory: Trajectory
 
 
 @dataclass
@@ -117,7 +118,8 @@ def compare_full_vs_reduced(
 
     The deviation is the max over samples of the max-norm gap between the
     full trajectory and the lift of the reduced one.  Exact plane invariance
-    means the gap stays at integration-error level for on-plane starts.
+    means the gap stays at integration-error level for on-plane starts.  The
+    full trajectory is returned with the comparison for further diagnostics.
     """
     k = extract_k(y0, zero_tol)
     z0 = _project(y0, k)
@@ -139,6 +141,7 @@ def compare_full_vs_reduced(
         max_state_deviation=deviation,
         horizon=t_end,
         tol_used=max(cfg.abs_tol, cfg.rel_tol),
+        full_trajectory=full,
     )
 
 

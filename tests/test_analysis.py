@@ -127,6 +127,21 @@ class TestLyapunovSpectrum:
         s = rep.exponents.sum()
         assert abs(s - tr) <= 1e-2 * (1.0 + abs(s))
 
+    @pytest.mark.parametrize(
+        "system, y0, trace",
+        [
+            (full_system(Params(-1.0, -1.0, -0.5, 0.0)), [0.73, -0.4, 0.2, 0.33, 0.11], -4.5),
+            (reduced_system(Params(-1.0, -1.0, -0.5, 0.0), 0.7), [0.1, 0.05, 0.0], -2.5),
+        ],
+        ids=["full", "reduced"],
+    )
+    def test_spectrum_sum_equals_exact_trace(self, system, y0, trace):
+        """The full Jacobian's trace is 4C+E and the reduced one's 2C+E at
+        every state, so the exponents sum to exactly that."""
+        rep = lyapunov_spectrum(system, y0, 20.0, 120.0, 1.0, IntegratorConfig())
+        assert not rep.diverged
+        assert abs(rep.exponents.sum() - trace) <= 1e-5
+
     def test_diverged_report(self):
         cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=5000)
         p = Params(C=2.0, D=1.0, E=0.5, F=0.0)

@@ -17,7 +17,7 @@ from dynlab.integrator import (
     integrate,
     integrate_with_tangents,
 )
-from dynlab.model import Params, full_system
+from dynlab.model import Params, full_system, reduced_system
 
 RNG = np.random.default_rng(11)
 
@@ -270,3 +270,137 @@ class TestTangents:
         )
         np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.times), rtol=1e-9)
+
+
+def _plain(system):
+    """The system's callables behind wrappers that carry no float kernel."""
+    return (lambda t, y: system.field(t, y)), (lambda t, y: system.jacobian(t, y))
+
+
+class TestKernelAndAdapterPaths:
+    """A model system's float kernels and the adapter around its array
+    callables give bitwise-identical runs."""
+
+    CASES = [
+        (full_system(Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)), [0.73, -0.4, 0.2, 0.33, 0.11]),
+        (reduced_system(Params(C=-0.9, D=-1.0, E=-0.5, F=0.1), 0.8), [0.6, -0.3, 0.2]),
+    ]
+
+    @pytest.mark.parametrize("system, y0", CASES, ids=["full", "reduced"])
+    def test_integrate(self, system, y0):
+        assert hasattr(system.field, "kernel")
+        field, _ = _plain(system)
+        cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9)
+        a = integrate(system.field, y0, 0.0, 40.0, 0.5, cfg)
+        b = integrate(field, y0, 0.0, 40.0, 0.5, cfg)
+        assert a.states.tobytes() == b.states.tobytes()
+        assert (a.steps_taken, a.steps_rejected) == (b.steps_taken, b.steps_rejected)
+
+    @pytest.mark.parametrize("system, y0", CASES, ids=["full", "reduced"])
+    def test_integrate_with_tangents(self, system, y0):
+        assert hasattr(system.jacobian, "kernel")
+        field, jacobian = _plain(system)
+        cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
+        bundle0 = TangentBundle(base=np.array(y0), frame=np.eye(system.dim))
+        runs = [
+            integrate_with_tangents(f, j, bundle0, 0.0, 30.0, 1.0, cfg, out_stride=0.1)
+            for f, j in ((system.field, system.jacobian), (field, jacobian))
+        ]
+        (bundle_a, log_a, traj_a), (bundle_b, log_b, traj_b) = runs
+        assert bundle_a.base.tobytes() == bundle_b.base.tobytes()
+        assert bundle_a.frame.tobytes() == bundle_b.frame.tobytes()
+        for name in ("times", "intervals", "log_stretches"):
+            assert getattr(log_a, name).tobytes() == getattr(log_b, name).tobytes()
+        assert traj_a.states.tobytes() == traj_b.states.tobytes()
+        assert (traj_a.steps_taken, traj_a.steps_rejected) == (
+            traj_b.steps_taken,
+            traj_b.steps_rejected,
+        )
+
+
+def _goes_bad(component, value, t_bad):
+    """y' = -y, except that one component of the derivative is `value` from t_bad on."""
+
+    def field(t, y):
+        f = -y
+        if t >= t_bad:
+            f[component] = value
+        return f
+
+    return field
+
+
+class TestNonFiniteBlowUp:
+    """A NaN or inf in any component, not only the first, aborts the run and
+    keeps what was computed before it."""
+
+    BAD = [np.nan, np.inf, -np.inf]
+    Y0 = np.array([1.0, -0.5, 0.25, 0.8, -0.3])
+    # Every step is accepted at h = 0.1, so the step from t = 2 evaluates its
+    # stages at t = 2.02, 2.03, 2.08, 2.0889 and 2.1.
+    LOOSE = IntegratorConfig(abs_tol=1e-3, rel_tol=1e-3, h_init=0.1, h_max=0.1)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("component", range(5))
+    def test_stage_state(self, component, value):
+        """The third stage derivative is non-finite, so the fourth stage state is."""
+        field = _goes_bad(component, value, 2.025)
+        with pytest.raises(BlowUpError, match="non-finite state during step") as info:
+            integrate(field, self.Y0, 0.0, 5.0, 0.5, self.LOOSE)
+        partial = info.value.partial_traj
+        np.testing.assert_array_equal(partial.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert np.all(np.isfinite(partial.states))
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("component", range(5))
+    def test_new_state(self, component, value):
+        """Only the sixth stage derivative, at t + h, is non-finite: it goes
+        straight into the new state, which the new-state check must catch."""
+        field = _goes_bad(component, value, 0.1)
+        with pytest.raises(BlowUpError, match="blew up at t = 0.1") as info:
+            integrate(field, self.Y0, 0.0, 1.0, 1.0, self.LOOSE)
+        assert not np.isfinite(info.value.last_state[component])
+        np.testing.assert_array_equal(info.value.partial_traj.times, [0.0])
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("component", range(3))
+    def test_tangent_run_keeps_partial_log(self, component, value):
+        A = np.diag([-1.0, -2.0, -0.5])
+        bundle0 = TangentBundle(base=np.array([1.0, -0.5, 0.25]), frame=np.eye(3))
+        with pytest.raises(BlowUpError, match="non-finite state during step") as info:
+            integrate_with_tangents(
+                _goes_bad(component, value, 2.025),
+                lambda t, y: A,
+                bundle0,
+                0.0,
+                5.0,
+                1.0,
+                self.LOOSE,
+                out_stride=0.5,
+            )
+        np.testing.assert_array_equal(info.value.partial_log.times, [1.0, 2.0])
+        np.testing.assert_allclose(
+            info.value.partial_log.log_stretches, [[-1.0, -2.0, -0.5]] * 2, atol=1e-6
+        )
+        np.testing.assert_array_equal(info.value.partial_traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("component", range(5))
+    def test_threshold_in_any_component(self, component):
+        """A finite component beyond 1e12 is a blow-up wherever it sits."""
+        y0 = np.zeros(5)
+        y0[component] = 1e6
+
+        def field(t, y):
+            f = np.zeros(5)
+            f[component] = y[component] * y[component]
+            return f
+
+        with pytest.raises(BlowUpError, match="blew up") as info:
+            integrate(field, y0, 0.0, 1.0, 0.1, IntegratorConfig())
+        assert abs(info.value.last_state[component]) > 1e12
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("component", range(5))
+    def test_rk4_new_state(self, component, value):
+        with pytest.raises(BlowUpError):
+            fixed_rk4_step(_goes_bad(component, value, 0.0), self.Y0, 0.0, 0.1)

@@ -185,3 +185,29 @@ class TestVerificationSuite:
         p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
         reports = verification_suite(p, seed=3, samples=500, horizon=5.0, tolerance=0.0)
         assert not any(rep.passed for rep in reports.values())
+
+    def test_pointwise_worst_matches_per_row_loop(self):
+        """The vectorised pointwise checks give the worst residuals of a
+        per-row loop over the public functions on the same samples."""
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
+        seed, samples = 5, 3000
+        rng = np.random.Generator(np.random.Philox(seed))
+        ys = rng.uniform(-10.0, 10.0, (samples, 5))
+        ps = rng.uniform(-3.0, 3.0, (samples, 4))
+        worst = {"derivative_identity": 0.0, "norm_forms_agree": 0.0, "norm_forms_gradient": 0.0}
+        for y, row in zip(ys, ps):
+            pp = Params(*row)
+            nrm = math.sqrt(float(np.dot(y, y)))
+            raw, canon = norm_derivative_forms(y, pp)
+            f = full_vector_field(y, pp)
+            grad_dot = 2.0 * (y[0] * f[0] + y[1] * f[1] + y[3] * f[3] + y[4] * f[4])
+            for name, value in (
+                ("derivative_identity", derivative_identity_residual(y, pp) / (1.0 + nrm**3)),
+                ("norm_forms_agree", abs(raw - canon) / (1.0 + nrm**2)),
+                ("norm_forms_gradient", abs(raw - grad_dot) / (1.0 + nrm**4)),
+            ):
+                worst[name] = max(worst[name], value)
+        reports = verification_suite(p, seed=seed, samples=samples, horizon=1.0)
+        for name, value in worst.items():
+            assert value > 0.0
+            assert reports[name].max_rel_residual == pytest.approx(value, rel=1e-12, abs=0.0)

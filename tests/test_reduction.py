@@ -85,6 +85,15 @@ class TestCompareFullVsReduced:
             assert cmp_.K.value == 2.0
             assert cmp_.max_state_deviation <= 1e-6
 
+    def test_returns_full_trajectory(self):
+        """The comparison hands back the full run it measured against."""
+        p = Params(-1.8, -0.7, -0.4, 0.0)
+        y0 = np.array([1.0, 1.0, 0.0, 2.0, 2.0])
+        cmp_ = compare_full_vs_reduced(y0, p, 20.0, 0.5, IntegratorConfig())
+        full = integrate(full_system(p).field, y0, 0.0, 20.0, 0.5, IntegratorConfig())
+        assert cmp_.full_trajectory.times.tobytes() == full.times.tobytes()
+        assert cmp_.full_trajectory.states.tobytes() == full.states.tobytes()
+
     def test_equilibrium_start(self):
         p = Params(C=-2.0, D=1.0, E=-0.5, F=1.0)
         cmp_ = compare_full_vs_reduced(equilibrium(p), p, 10.0, 1.0, IntegratorConfig())
