@@ -1,9 +1,9 @@
 """Toolkit for the averaged spherical-pendulum / limited-power-motor system.
 
-Submodules: model (vector fields, Jacobians, equilibrium, K-plane lift),
-integrator (adaptive DP54 and fixed RK4, tangent propagation), invariants
-(bilinear law, proportionality, norm-derivative forms), reduction (K
-extraction, 5-D vs 3-D comparison), analysis (Lyapunov spectra,
+Submodules: model (vector fields, Jacobians, equilibrium, K-plane lift and
+project), integrator (adaptive DP54 and fixed RK4, tangent propagation),
+invariants (bilinear law, proportionality, norm-derivative forms), reduction
+(K extraction, 5-D vs 3-D comparison), analysis (Lyapunov spectra,
 classification, scans, Poincare sections), cli (the dynlab command).
 """
 
@@ -16,13 +16,13 @@ from .model import (
     full_system,
     full_vector_field,
     lift,
+    project,
     reduced_jacobian,
     reduced_system,
     reduced_vector_field,
 )
 from .integrator import (
     IntegratorConfig,
-    RenormLog,
     TangentBundle,
     Trajectory,
     fixed_rk4_step,
@@ -32,11 +32,9 @@ from .integrator import (
 from .invariants import (
     InvariantReport,
     bilinear,
-    bilinear_prediction,
     check_trajectory,
     derivative_identity_residual,
     norm_derivative_forms,
-    proportionality_residuals,
     quadratic_norm,
     verification_suite,
 )

@@ -52,8 +52,6 @@ __all__ = [
 CLASSIFICATIONS = ("equilibrium", "periodic", "quasiperiodic-or-torus", "chaotic", "diverged")
 SCAN_PARAMS = ("C", "D", "E", "F", "K")
 
-WORKERS_ENV_VAR = "DYNLAB_SCAN_WORKERS"
-
 
 @dataclass
 class LyapunovReport:
@@ -292,12 +290,6 @@ def _scan_point(args) -> tuple[ScanRecord, np.ndarray | None]:
 def _worker_count(settings: ScanSettings) -> int:
     if settings.workers is not None:
         return max(1, settings.workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     return os.cpu_count() or 1
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,18 +51,13 @@ EXIT_OUTPUT = 3
 EXIT_BLOWUP = 4
 EXIT_NOT_ON_LIMIT_SET = 5
 
+# Each section's keys and defaults; a key's value in a config must have its
+# default's kind (str, int or float), and a None default means an optional
+# float.
 _DEFAULTS = {
     "params": None,  # required
     "initial_state": {"random": {"box": [-5.0, 5.0]}},
-    "integrator": {
-        "method": "adaptive-DP54",
-        "abs_tol": 1e-10,
-        "rel_tol": 1e-10,
-        "h_init": 1e-3,
-        "h_min": 1e-12,
-        "h_max": 0.1,
-        "max_steps": 100000000,
-    },
+    "integrator": asdict(IntegratorConfig()),
     "times": {"t_transient": 200.0, "t_total": 2200.0, "out_stride": 0.1},
     "lyapunov": {"renorm_interval": 1.0},
     "verify": {"samples": 20000, "tolerance": None, "horizon": 20.0},
@@ -93,6 +89,21 @@ def _as_vector(value, n: int, where: str) -> list[float]:
     if not isinstance(value, list) or len(value) != n:
         raise ConfigError(f"{where} must be a list of {n} numbers")
     return [_as_number(v, where) for v in value]
+
+
+def _as_kind(value, default, where: str):
+    """value checked against the kind of its default (see _DEFAULTS)."""
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer")
+        return value
+    if default is None and value is None:
+        return None
+    return _as_number(value, where)
 
 
 def normalize_config(raw: dict) -> dict:
@@ -154,34 +165,15 @@ def normalize_config(raw: dict) -> dict:
         state["random"] = box
     cfg["initial_state"] = state
 
-    for section, caster in (
-        ("integrator", {"method": str, "abs_tol": float, "rel_tol": float, "h_init": float,
-                        "h_min": float, "h_max": float, "max_steps": int}),
-        ("times", {"t_transient": float, "t_total": float, "out_stride": float}),
-        ("lyapunov", {"renorm_interval": float}),
-        ("verify", {"samples": int, "tolerance": (float, type(None)), "horizon": float}),
-        ("reduce", {"zero_tol": (float, type(None))}),
-        ("scan", {"extrema_cap": int, "eps_zero": float}),
-    ):
+    for section in ("integrator", "times", "lyapunov", "verify", "reduce", "scan"):
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(f"{section} must be an object")
-        _require_keys(given, caster, section)
-        merged = dict(_DEFAULTS[section])
+        defaults = _DEFAULTS[section]
+        _require_keys(given, defaults, section)
+        merged = dict(defaults)
         for k, v in given.items():
-            kind = caster[k]
-            if kind is str:
-                if not isinstance(v, str):
-                    raise ConfigError(f"{section}.{k} must be a string")
-                merged[k] = v
-            elif kind is int:
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ConfigError(f"{section}.{k} must be an integer")
-                merged[k] = v
-            elif kind is float:
-                merged[k] = _as_number(v, f"{section}.{k}")
-            else:  # optional float
-                merged[k] = None if v is None else _as_number(v, f"{section}.{k}")
+            merged[k] = _as_kind(v, defaults[k], f"{section}.{k}")
         cfg[section] = merged
 
     seed = raw.get("seed", _DEFAULTS["seed"])
@@ -323,7 +315,7 @@ def _write_trajectory(directory: str, cfg: dict, traj, partial: bool = False) ->
         text = json.dumps(
             {
                 "columns": header,
-                "rows": [[float(t)] + [float(v) for v in row] for t, row in zip(traj.times, traj.states)],
+                "rows": list(_trajectory_rows(traj)),
             },
             indent=2,
             sort_keys=True,
@@ -470,23 +462,20 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
     icfg = _integrator_config(cfg)
     directory = _out_dir(cfg, out_override)
     param = args.param
+    y0, kind = resolve_initial_state(cfg)
     if param == "K":
-        y0, kind = resolve_initial_state(cfg)
         if kind == "full":
             raise ConfigError("a K-scan needs a reduced initial_state")
-        seed_state = tuple(y0.tolist())
         dim = 3
     else:
-        y0, kind = resolve_initial_state(cfg)
         if kind != "full":
             y0 = lift(y0, kind[1])
-        seed_state = tuple(y0.tolist())
         dim = 5
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
     values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     settings = ScanSettings(
-        y0=seed_state,
+        y0=tuple(y0.tolist()),
         t_transient=cfg["times"]["t_transient"],
         t_total=cfg["times"]["t_total"],
         renorm_interval=cfg["lyapunov"]["renorm_interval"],

@@ -31,9 +31,7 @@ from .model import Params, _as_state, _full_rhs
 __all__ = [
     "InvariantReport",
     "bilinear",
-    "bilinear_prediction",
     "derivative_identity_residual",
-    "proportionality_residuals",
     "quadratic_norm",
     "norm_derivative_forms",
     "check_trajectory",
@@ -57,11 +55,6 @@ def bilinear(y) -> float:
     return y1 * y5 - y2 * y4
 
 
-def bilinear_prediction(I0: float, C: float, t: float) -> float:
-    """Closed-form value B(t) = I0 * exp(2*C*t)."""
-    return I0 * math.exp(2.0 * C * t)
-
-
 def derivative_identity_residual(y, p: Params) -> float:
     """|grad B . f(y) - 2C*B(y)|; identically zero in exact arithmetic."""
     y = _as_state(y, 5)
@@ -73,13 +66,6 @@ def _derivative_residual(y, f, C):
     y1, y2, _, y4, y5 = y
     b_dot = y5 * f[0] - y4 * f[1] - y2 * f[3] + y1 * f[4]
     return abs(b_dot - 2.0 * C * (y1 * y5 - y2 * y4))
-
-
-def proportionality_residuals(y, y0) -> tuple[float, float]:
-    """Residuals of the limit-set proportionality relative to a reference state."""
-    a1, a2, _, a4, a5 = _as_state(y, 5)
-    b1, b2, _, b4, b5 = _as_state(y0, 5)
-    return (b4 * a1 - b1 * a4, b5 * a2 - b2 * a5)
 
 
 def quadratic_norm(y) -> float:

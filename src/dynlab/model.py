@@ -21,6 +21,11 @@ into the three-dimensional reduced system
     z2' = C*z2 + [z3 + (1/8)(1+K^2)(z1^2+z2^2)]*z1 + 2*z1
     z3' = D*(1+K^2)*z1*z2 + E*z3 + F
 
+This module owns that embedding: `lift` maps reduced states into the full
+space and `project` maps full states on a K-plane back, both over the last
+axis of a single state or a block of states.  No other module spells out
+where the reduced coordinates sit among the five.
+
 All four constants C, D, E, F are dimensionless; C < 0 is the dissipative
 regime.  G and M are evaluated once per call so that components share bitwise
 identical subexpressions (several identity checks compare them at round-off
@@ -50,6 +55,7 @@ __all__ = [
     "reduced_jacobian",
     "equilibrium",
     "lift",
+    "project",
     "full_system",
     "reduced_system",
 ]
@@ -242,24 +248,44 @@ def equilibrium(p: Params) -> np.ndarray:
     return np.array([0.0, 0.0, -p.F / p.E, 0.0, 0.0])
 
 
+def _as_block(a, dim: int) -> np.ndarray:
+    """A float array of states along the last axis, enforcing length and finiteness."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0 or a.shape[-1] != dim:
+        raise InvalidStateError(f"expected a last axis of length {dim}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidStateError(f"non-finite state component: {a!r}")
+    return a
+
+
+def _as_ratio(K) -> KRatio:
+    """K itself, or a bare float read as a standard ratio (validated by KRatio)."""
+    return K if isinstance(K, KRatio) else KRatio.standard(K)
+
+
 def lift(z, K) -> np.ndarray:
-    """Embed a reduced state into the full space via the K-plane.
+    """Embed reduced states (..., 3) into the full space via the K-plane.
 
     Accepts a KRatio (any kind) or a bare float, treated as a standard ratio.
     Standard: (z1, z2, z3, K*z1, K*z2).  Swapped: the reduced coordinates play
     the (y4, y5) roles and (y1, y2) = K'*(z1, z2).  Zero-pair lifts with K = 0.
     """
-    z1, z2, z3 = _as_state(z, 3)
-    if isinstance(K, KRatio):
-        if K.kind == "swapped":
-            kp = K.value
-            return np.array([kp * z1, kp * z2, z3, z1, z2])
-        k = K.value  # standard and zero-pair both lift proportionally
-    else:
-        k = float(K)
-        if not math.isfinite(k):
-            raise InvalidStateError(f"K is not finite: {K!r}")
-    return np.array([z1, z2, z3, k * z1, k * z2])
+    z = _as_block(z, 3)
+    k = _as_ratio(K)
+    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
+    if k.kind == "swapped":
+        return np.stack((k.value * z1, k.value * z2, z3, z1, z2), axis=-1)
+    return np.stack((z1, z2, z3, k.value * z1, k.value * z2), axis=-1)
+
+
+def project(y, K) -> np.ndarray:
+    """Reduced coordinates (..., 3) of full states (..., 5) on the K-plane.
+
+    The inverse of `lift` on its image: (y1, y2, y3) for standard and
+    zero-pair ratios, (y4, y5, y3) for swapped ones.
+    """
+    y = _as_block(y, 5)
+    return y[..., [3, 4, 2] if _as_ratio(K).kind == "swapped" else [0, 1, 2]]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ and the flow restricted to that plane is the reduced third-order system.
 This module recovers K from a full state, measures how far a full trajectory
 strays from the lifted reduced one, and tracks the least-squares K estimate
 along a trajectory as a diagnostic for the asymptotic onset of
-proportionality.
+proportionality.  The embedding of the plane itself (`lift` and `project`)
+belongs to `model`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotOnLimitSetError, RatioInconsistencyError
 from .integrator import IntegratorConfig, Trajectory, integrate
-from .model import KRatio, Params, full_system, lift, reduced_system, _as_state
+from .model import KRatio, Params, _as_state, full_system, lift, project, reduced_system
 
 __all__ = [
     "ReductionComparison",
@@ -75,35 +76,27 @@ def extract_k(y0, zero_tol: float | None = None) -> KRatio:
         )
 
     if max(abs(y1), abs(y2)) > zero_tol:
-        if abs(y1) >= abs(y2):
-            k, alt = y4 / y1, (y5 / y2 if abs(y2) > zero_tol else None)
-        else:
-            k, alt = y5 / y2, (y4 / y1 if abs(y1) > zero_tol else None)
-        _check_ratio_consistency(k, alt, zero_tol)
-        return KRatio.standard(k)
-
+        return KRatio.standard(_pair_ratio(y1, y2, y4, y5, zero_tol))
     if max(abs(y4), abs(y5)) > zero_tol:
-        if abs(y4) >= abs(y5):
-            k, alt = y1 / y4, (y2 / y5 if abs(y5) > zero_tol else None)
-        else:
-            k, alt = y2 / y5, (y1 / y4 if abs(y4) > zero_tol else None)
-        _check_ratio_consistency(k, alt, zero_tol)
-        return KRatio.swapped(k)
-
+        return KRatio.swapped(_pair_ratio(y4, y5, y1, y2, zero_tol))
     return KRatio.zero_pair()
 
 
-def _check_ratio_consistency(k: float, alt: float | None, zero_tol: float):
+def _pair_ratio(a1: float, a2: float, b1: float, b2: float, zero_tol: float) -> float:
+    """The ratio k of (b1, b2) to (a1, a2), taken from a's larger component.
+
+    When a's other component exceeds zero_tol too, its ratio must agree with
+    k within zero_tol*(1 + k^2).
+    """
+    if abs(a1) >= abs(a2):
+        k, alt = b1 / a1, (b2 / a2 if abs(a2) > zero_tol else None)
+    else:
+        k, alt = b2 / a2, (b1 / a1 if abs(a1) > zero_tol else None)
     if alt is not None and abs(k - alt) > zero_tol * (1.0 + k * k):
         raise RatioInconsistencyError(
             f"pair ratios disagree: {k!r} vs {alt!r} beyond tolerance"
         )
-
-
-def _project(y0, k: KRatio) -> np.ndarray:
-    if k.kind == "swapped":
-        return np.array([y0[3], y0[4], y0[2]], dtype=float)
-    return np.array([y0[0], y0[1], y0[2]], dtype=float)
+    return k
 
 
 def compare_full_vs_reduced(
@@ -122,19 +115,9 @@ def compare_full_vs_reduced(
     full trajectory is returned with the comparison for further diagnostics.
     """
     k = extract_k(y0, zero_tol)
-    z0 = _project(y0, k)
     full = integrate(full_system(p).field, np.asarray(y0, dtype=float), 0.0, t_end, out_stride, cfg)
-    red = integrate(reduced_system(p, k.value).field, z0, 0.0, t_end, out_stride, cfg)
-
-    z = red.states
-    if k.kind == "swapped":
-        lifted = np.column_stack(
-            (k.value * z[:, 0], k.value * z[:, 1], z[:, 2], z[:, 0], z[:, 1])
-        )
-    else:
-        lifted = np.column_stack(
-            (z[:, 0], z[:, 1], z[:, 2], k.value * z[:, 0], k.value * z[:, 1])
-        )
+    red = integrate(reduced_system(p, k.value).field, project(y0, k), 0.0, t_end, out_stride, cfg)
+    lifted = lift(red.states, k)
     deviation = float(np.abs(lifted - full.states).max())
     return ReductionComparison(
         K=k,

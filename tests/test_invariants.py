@@ -14,11 +14,9 @@ from dynlab.errors import DimensionMismatchError
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
 from dynlab.invariants import (
     bilinear,
-    bilinear_prediction,
     check_trajectory,
     derivative_identity_residual,
     norm_derivative_forms,
-    proportionality_residuals,
     quadratic_norm,
     verification_suite,
 )
@@ -32,15 +30,6 @@ class TestBilinear:
         assert bilinear([1.0, 0.0, 9.0, 0.0, 1.0]) == 1.0
         assert bilinear([1.0, 2.0, -3.0, 3.0, 6.0]) == 0.0
         assert bilinear([2.0, 1.0, 0.0, -1.0, 1.0]) == 3.0
-
-    def test_prediction(self):
-        for I0 in (-2.0, 0.5, 3.0):
-            for t in (0.0, 1.0, 7.5):
-                assert bilinear_prediction(I0, 0.0, t) == I0
-        assert abs(bilinear_prediction(1.0, -1.0, 1.0) - math.exp(-2.0)) < 1e-15
-        for C in (-2.0, 0.3):
-            for t in (0.0, 2.0):
-                assert bilinear_prediction(0.0, C, t) == 0.0
 
 
 class TestDerivativeIdentity:
@@ -59,20 +48,6 @@ class TestDerivativeIdentity:
             p = Params(*RNG.uniform(-3.0, 3.0, 4))
             nrm = np.linalg.norm(y)
             assert derivative_identity_residual(y, p) <= 1e-10 * (1.0 + nrm**3)
-
-
-class TestProportionality:
-    def test_identity_case(self):
-        y = RNG.uniform(-3, 3, 5)
-        assert proportionality_residuals(y, y) == (0.0, 0.0)
-
-    def test_shared_ratio(self):
-        r = proportionality_residuals([3.0, 5.0, 0.0, 6.0, 10.0], [1.0, 1.0, 2.0, 2.0, 2.0])
-        assert r == (0.0, 0.0)
-
-    def test_direct_arithmetic(self):
-        r = proportionality_residuals([0.0, 0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0])
-        assert r == (-1.0, 0.0)
 
 
 class TestQuadraticNorm:

@@ -1,4 +1,4 @@
-"""Vector fields, Jacobians, equilibrium, and the K-plane lift.
+"""Vector fields, Jacobians, equilibrium, and the K-plane lift and projection.
 
 Derived expectations are computed by their oracles: Jacobians against central
 finite differences, the manifold consistency against lift-then-evaluate, hand
@@ -16,6 +16,7 @@ from dynlab.model import (
     full_jacobian,
     full_vector_field,
     lift,
+    project,
     reduced_jacobian,
     reduced_vector_field,
 )
@@ -205,10 +206,54 @@ class TestLift:
         np.testing.assert_array_equal(y, [0.5, 1.0, 3.0, 1.0, 2.0])
 
     def test_lift_then_project_is_identity(self):
+        """project(lift(z, K), K) returns z bit for bit for every kind of K."""
         for _ in range(50):
             z = RNG.uniform(-4, 4, 3)
             K = RNG.uniform(-3, 3)
-            np.testing.assert_array_equal(lift(z, K)[:3], z)
+            for k in (K, KRatio.standard(K), KRatio.swapped(K), KRatio.zero_pair()):
+                back = project(lift(z, k), k)
+                assert back.tobytes() == z.tobytes()
+
+    def test_project_values(self):
+        y = [1.0, 2.0, 3.0, 4.0, 5.0]
+        np.testing.assert_array_equal(project(y, 0.5), [1, 2, 3])
+        np.testing.assert_array_equal(project(y, KRatio.zero_pair()), [1, 2, 3])
+        np.testing.assert_array_equal(project(y, KRatio.swapped(0.5)), [4, 5, 3])
+
+    def test_block_equals_rows(self):
+        """Lifting and projecting an (n, d) block equals the row-by-row maps."""
+        z = RNG.uniform(-4, 4, (20, 3))
+        for k in (-1.3, KRatio.swapped(0.7), KRatio.zero_pair()):
+            lifted = lift(z, k)
+            assert lifted.shape == (20, 5)
+            assert lifted.tobytes() == np.array([lift(row, k) for row in z]).tobytes()
+            back = project(lifted, k)
+            assert back.tobytes() == np.array([project(row, k) for row in lifted]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        z, y = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        for i in range(3):
+            zb = z.copy()
+            zb[i] = bad
+            with pytest.raises(InvalidStateError):
+                lift(zb, 1.0)
+        for i in range(5):
+            yb = y.copy()
+            yb[i] = bad
+            with pytest.raises(InvalidStateError):
+                project(yb, 1.0)
+        for fn, state in ((lift, z), (project, y)):
+            with pytest.raises(InvalidStateError):
+                fn(state, bad)
+            with pytest.raises(InvalidStateError):
+                fn([state, state], bad)
+
+    def test_wrong_last_axis_rejected(self):
+        for fn, dim in ((lift, 3), (project, 5)):
+            for shape in ((), (dim - 1,), (dim + 1,), (4, dim + 2), (dim, 2)):
+                with pytest.raises(InvalidStateError):
+                    fn(np.ones(shape), 1.0)
 
     def test_manifold_consistency(self):
         """The K-plane is exactly invariant: the lifted derivative is conformal.

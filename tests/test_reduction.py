@@ -67,6 +67,21 @@ class TestExtractK:
             assert abs(k1 - k2) <= zero_tol * (1.0 + k1 * k1)
             extract_k(y)  # must not raise
 
+    def test_swapped_mirrors_standard(self):
+        """With (y1, y2) below zero_tol the ratio is read the other way round:
+        swapping the pairs of a standard state gives kind swapped with the
+        same value bits."""
+        for _ in range(200):
+            a = RNG.uniform(0.5, 3.0, 2) * RNG.choice([-1.0, 1.0], 2)
+            if RNG.random() < 0.3:
+                a[RNG.integers(0, 2)] = 0.0
+            b = RNG.uniform(-1e-4, 1e-4) * a
+            y3 = RNG.uniform(-2.0, 2.0)
+            std = extract_k([a[0], a[1], y3, b[0], b[1]], zero_tol=1e-3)
+            swp = extract_k([b[0], b[1], y3, a[0], a[1]], zero_tol=1e-3)
+            assert (std.kind, swp.kind) == ("standard", "swapped")
+            assert np.float64(swp.value).tobytes() == np.float64(std.value).tobytes()
+
     def test_picks_larger_component(self):
         y = np.array([1e-12, 2.0, 0.0, 5e-13, 1.0])
         k = extract_k(y)
