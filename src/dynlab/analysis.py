@@ -13,6 +13,16 @@ more a torus, all-negative an equilibrium.  Parameter scans sweep one of C,
 D, E, F (full system) or K (reduced system), recording the spectrum, the
 classification, and the post-transient local maxima of y1 for bifurcation
 diagrams.
+
+A fixed-policy scan deals its points to the workers in interleaved shares
+(values[w::workers]).  A share of at least `_MIN_BATCH` points runs each
+transient on its own and then advances all its tangent runs as one block
+(`integrator.integrate_tangent_block`); a smaller share, a fixed-step method
+and the follow policy run point by point.  The block gives every point the
+bits of its own run, so the records do not depend on the worker count, the
+shares or the order of the values.  `_MIN_BATCH` sits at the measured
+crossover, where one block iteration costs as much as its members' scalar
+steps.
 """
 
 from __future__ import annotations
@@ -30,9 +40,18 @@ from .integrator import (
     TangentBundle,
     Trajectory,
     integrate,
+    integrate_tangent_block,
     integrate_with_tangents,
 )
-from .model import DynamicalSystem, Params, equilibrium, full_jacobian, full_system, reduced_system
+from .model import (
+    DynamicalSystem,
+    Params,
+    column_kernels,
+    equilibrium,
+    full_jacobian,
+    full_system,
+    reduced_system,
+)
 
 __all__ = [
     "LyapunovReport",
@@ -51,6 +70,12 @@ __all__ = [
 
 CLASSIFICATIONS = ("equilibrium", "periodic", "quasiperiodic-or-torus", "chaotic", "diverged")
 SCAN_PARAMS = ("C", "D", "E", "F", "K")
+
+# A fixed-policy scan share of at least this many points advances its tangent
+# runs as one block.  Measured on criterion-9 C points (T = 100 + 150, tol
+# 1e-8, 2-vCPU VM) against point-by-point runs: 0.65x at 6 points, 0.83x at 8,
+# 1.13x at 10, 1.25x at 12, 1.6x at 16.
+_MIN_BATCH = 10
 
 
 @dataclass
@@ -99,6 +124,18 @@ class SectionPoints:
     times: np.ndarray  # refined crossing times, shape (n,)
 
 
+def _check_window(t_transient: float, t_total: float):
+    if not (t_total > t_transient >= 0.0):
+        raise ValueError("require t_total > t_transient >= 0")
+
+
+def _transient_end(system: DynamicalSystem, y0: np.ndarray, t_transient: float, cfg) -> np.ndarray:
+    """The state after the transient (y0 itself when there is none)."""
+    if t_transient > 0.0:
+        return integrate(system.field, y0, 0.0, t_transient, t_transient, cfg).states[-1]
+    return y0
+
+
 def _spectrum_run(
     system: DynamicalSystem,
     y0,
@@ -109,35 +146,39 @@ def _spectrum_run(
     out_stride: float | None = None,
 ):
     """Transient, then tangent propagation.  Returns (report, traj, terminal)."""
-    if not (t_total > t_transient >= 0.0):
-        raise ValueError("require t_total > t_transient >= 0")
-    d = system.dim
-    y0 = np.asarray(y0, dtype=float)
-    base = y0
-    diverged = False
-    log = None
-    traj = None
-    terminal = None
+    _check_window(t_transient, t_total)
     try:
-        if t_transient > 0.0:
-            tr = integrate(system.field, y0, 0.0, t_transient, t_transient, cfg)
-            base = tr.states[-1]
-        bundle0 = TangentBundle(base=base, frame=np.eye(d))
-        bundle, log, traj = integrate_with_tangents(
+        base = _transient_end(system, np.asarray(y0, dtype=float), t_transient, cfg)
+        outcome = integrate_with_tangents(
             system.field,
             system.jacobian,
-            bundle0,
+            TangentBundle(base=base, frame=np.eye(system.dim)),
             t_transient,
             t_total,
             renorm_interval,
             cfg,
             out_stride=out_stride,
         )
-        terminal = bundle.base
     except IntegrationError as exc:
-        diverged = True
-        log = getattr(exc, "partial_log", None)
-        traj = getattr(exc, "partial_traj", None)
+        outcome = exc
+    return _spectrum_report(outcome, system.dim, t_total, renorm_interval)
+
+
+def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
+    """(report, traj, terminal) of a run's outcome.
+
+    The outcome is the (bundle, log, traj) of a completed tangent run or the
+    IntegrationError that ended the transient or the tangent run; a
+    BlowUpError of the tangent run carries the log and samples so far.
+    """
+    if isinstance(outcome, IntegrationError):
+        diverged, terminal = True, None
+        log = getattr(outcome, "partial_log", None)
+        traj = getattr(outcome, "partial_traj", None)
+    else:
+        diverged = False
+        bundle, log, traj = outcome
+        terminal = bundle.base
 
     if log is None or log.times.size == 0:
         exponents = np.full(d, math.nan)
@@ -270,13 +311,17 @@ def _scan_point(args) -> tuple[ScanRecord, np.ndarray | None]:
         settings.integrator,
         out_stride=settings.out_stride,
     )
+    return _scan_record(param_name, value, report, traj, settings), terminal
+
+
+def _scan_record(param_name: str, value: float, report, traj, settings: ScanSettings) -> ScanRecord:
     label = classify(report, traj, settings.eps_zero)
     if label == "diverged" or traj is None:
         extrema = np.empty(0)
     else:
         extrema = _local_maxima(traj.states[:, 0], settings.extrema_cap)
     lam1 = float(report.exponents[0]) if report.exponents.size else math.nan
-    record = ScanRecord(
+    return ScanRecord(
         param_name=param_name,
         param_value=float(value),
         classification=label,
@@ -284,7 +329,51 @@ def _scan_point(args) -> tuple[ScanRecord, np.ndarray | None]:
         exponents=report.exponents,
         extrema_sample=extrema,
     )
-    return record, terminal
+
+
+def _scan_shard(args) -> list[ScanRecord]:
+    """Records of one worker's share of a fixed-policy scan, in the share's order.
+
+    A share of at least _MIN_BATCH points runs each transient on its own,
+    then advances all the tangent runs as one block; a smaller one, or a
+    fixed-step method, runs point by point.  Either way each record has the
+    bits of its point's own run.
+    """
+    p_base, param_name, values, seed, settings = args
+    cfg = settings.integrator
+    if len(values) < _MIN_BATCH or cfg.method != "adaptive-DP54":
+        return [_scan_point((p_base, param_name, v, seed, settings))[0] for v in values]
+    _check_window(settings.t_transient, settings.t_total)
+    y0 = np.asarray(seed, dtype=float)
+    outcomes = [None] * len(values)
+    members, bundles = [], []
+    for i, v in enumerate(values):
+        system = _make_system(p_base, param_name, v)
+        try:
+            base = _transient_end(system, y0, settings.t_transient, cfg)
+        except IntegrationError as exc:
+            outcomes[i] = exc
+            continue
+        members.append(i)
+        bundles.append(TangentBundle(base=base, frame=np.eye(system.dim)))
+    field, jacobian, d = column_kernels(p_base, param_name, [values[i] for i in members])
+    block = integrate_tangent_block(
+        field,
+        jacobian,
+        bundles,
+        settings.t_transient,
+        settings.t_total,
+        settings.renorm_interval,
+        cfg,
+        out_stride=settings.out_stride,
+    )
+    for i, outcome in zip(members, block):
+        outcomes[i] = outcome
+    records = []
+    for v, outcome in zip(values, outcomes):
+        report, traj, _ = _spectrum_report(outcome, d, settings.t_total, settings.renorm_interval)
+        records.append(_scan_record(param_name, v, report, traj, settings))
+    return records
 
 
 def _worker_count(settings: ScanSettings) -> int:
@@ -332,12 +421,17 @@ def parameter_scan(
                 seed = tuple(terminal.tolist())
         return records
 
-    jobs = [(p_base, param_name, v, seed0, settings) for v in values]
-    workers = min(_worker_count(settings), len(jobs))
+    workers = min(_worker_count(settings), len(values))
+    shards = [(p_base, param_name, values[w::workers], seed0, settings) for w in range(workers)]
     if workers <= 1:
-        return [_scan_point(job)[0] for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [record for record, _ in pool.map(_scan_point, jobs)]
+        shard_records = [_scan_shard(shards[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shard_records = list(pool.map(_scan_shard, shards))
+    records = [None] * len(values)
+    for w, shard in enumerate(shard_records):
+        records[w::workers] = shard
+    return records
 
 
 def _cubic_stencil(times: np.ndarray, i: int) -> np.ndarray:

@@ -460,7 +460,6 @@ plot "scan_extrema.csv" every ::1 using 1:2 with dots lc rgb "black"
 def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
     p = _params(cfg)
     icfg = _integrator_config(cfg)
-    directory = _out_dir(cfg, out_override)
     param = args.param
     y0, kind = resolve_initial_state(cfg)
     if param == "K":
@@ -473,6 +472,7 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
         dim = 5
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
+    directory = _out_dir(cfg, out_override)
     values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     settings = ScanSettings(
         y0=tuple(y0.tolist()),

@@ -20,6 +20,18 @@ same formula, so both routes give bitwise-identical results.  The same holds
 for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
 tangent frame is formed from those entries by one routine either way.
 
+`integrate_tangent_block` advances the tangent runs of a block of systems
+that differ in one constant (a fixed-policy parameter scan) together, as one
+(n, d + d*d) array, on column kernels (`model.column_kernels`).  Each member
+keeps its own time, step size, accept/reject decision, counters, budget and
+events; the stage arithmetic runs over the block with the scalar stepper's
+expressions in the same order, the error norm of each member is summed over
+its components in order, the controller runs per member on floats, and J*Q
+is one stacked product, so every member gets the bits of its own
+`integrate_with_tangents` run, errors and partial results included.  The
+block's per-iteration cost hardly depends on n, so it pays only from about
+ten members on; callers choose (see `analysis._MIN_BATCH`).
+
 Output samples are obtained by capping steps exactly at each output time; no
 dense interpolation is ever used, so sampled states carry only the
 integration error itself.  A stage state that goes non-finite, or a new state
@@ -51,6 +63,7 @@ __all__ = [
     "RenormLog",
     "integrate",
     "integrate_with_tangents",
+    "integrate_tangent_block",
     "fixed_rk4_step",
     "BLOWUP_THRESHOLD",
 ]
@@ -412,11 +425,38 @@ def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: Integrato
 
 
 def _orthonormalize(frame: np.ndarray):
-    """QR-factorize with positive diagonal; returns (Q, per-column stretches)."""
+    """QR-factorize with positive diagonal; returns (Q, per-column stretches).
+
+    Takes one d x d frame or a stack (..., d, d); LAPACK factors each matrix
+    of a stack on its own, so a stacked frame gets the bits of a lone one.
+    """
     q, r = np.linalg.qr(frame)
-    diag = np.diag(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs, np.abs(diag)
+    return q * signs[..., None, :], np.abs(diag)
+
+
+def _check_tangent_run(t0: float, t1: float, renorm_interval: float, bundles):
+    if not renorm_interval > 0.0:
+        raise ValueError("renorm_interval must be positive")
+    if not t1 > t0:
+        raise ValueError("require t1 > t0")
+    for bundle in bundles:
+        if bundle.orthonormality_defect() > 1e-6:
+            raise InvalidStateError("initial frame is not orthonormal")
+
+
+def _tangent_events(t0: float, t1: float, renorm_interval: float, out_stride):
+    """(event times, renorm set, sample times or None, sample set) of a tangent run.
+
+    The events are the renorm and sample times after t0, sorted; a run steps
+    exactly onto each one.
+    """
+    renorm_times = _output_times(t0, t1, renorm_interval)[1:]
+    sample_times = _output_times(t0, t1, out_stride) if out_stride else None
+    renorm_set = set(renorm_times.tolist())
+    sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
+    return sorted(renorm_set | sample_set), renorm_set, sample_times, sample_set
 
 
 def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
@@ -454,21 +494,13 @@ def integrate_with_tangents(
     out_stride when given.  On blow-up the partial log/trajectory are attached
     to the raised BlowUpError as ``partial_log`` / ``partial_traj``.
     """
-    if not renorm_interval > 0.0:
-        raise ValueError("renorm_interval must be positive")
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
-    if bundle0.orthonormality_defect() > 1e-6:
-        raise InvalidStateError("initial frame is not orthonormal")
+    _check_tangent_run(t0, t1, renorm_interval, [bundle0])
 
     d = bundle0.base.size
     aug = _tangent_kernel(_float_kernel(field), _float_kernel(jacobian), d)
-
-    renorm_times = _output_times(t0, t1, renorm_interval)[1:]
-    sample_times = _output_times(t0, t1, out_stride) if out_stride else None
-    renorm_set = set(renorm_times.tolist())
-    sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
-    event_times = sorted(renorm_set | sample_set)
+    event_times, renorm_set, sample_times, sample_set = _tangent_events(
+        t0, t1, renorm_interval, out_stride
+    )
 
     Y0 = bundle0.base.tolist() + bundle0.frame.ravel().tolist()
     stepper = _make_stepper(aug, lambda t, Y: np.array(aug(t, Y.tolist())), t0, Y0, cfg)
@@ -522,3 +554,283 @@ def integrate_with_tangents(
         base=np.array(stepper.y[:d]), frame=np.array(stepper.y[d:]).reshape(d, d)
     )
     return bundle, log, traj
+
+
+def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, J: np.ndarray):
+    """K = [f(y), J(y) Q] row by row for a block Y of augmented states.
+
+    field and jacobian are column kernels; J receives each member's Jacobian
+    as a d x d matrix.  J Q is one stacked product over C-ordered d x d
+    blocks, which numpy hands to the same BLAS routine as a lone product.
+    """
+    n, d = J.shape[0], J.shape[1]
+    cols = Y[:, :d].T
+    K[:, :d] = np.array(field(t, cols)).T
+    J.reshape(n, d * d)[...] = np.array(jacobian(t, cols)).T
+    np.matmul(J, Y[:, d:].reshape(n, d, d), out=K[:, d:].reshape(n, d, d))
+
+
+class _Dp54Block:
+    """`_Dp54Stepper.step_to` and the event loop of `integrate_with_tangents`
+    on a block of tangent runs: row i of every array is member i.
+
+    A member that is done or has failed stays in the block with h = 0 and its
+    last state, so the column kernels always see every member.
+    """
+
+    def __init__(self, field, jacobian, bundles0, t0, t1, renorm_interval, cfg, out_stride):
+        self.field, self.jacobian, self.cfg = field, jacobian, cfg
+        n = len(bundles0)
+        d = self.d = bundles0[0].base.size
+        events, renorm_set, self.sample_times, sample_set = _tangent_events(
+            t0, t1, renorm_interval, out_stride
+        )
+        self.n_ev = len(events)
+        n_samples = 0 if self.sample_times is None else self.sample_times.size
+        # Per event k: its time and snap tolerance (a sentinel past the end
+        # keeps the lookups of finished members in range), its sample slot
+        # (others write a spare slot past the last), its renorm slot (-1:
+        # none), how many samples (counting the start) and renorms come
+        # before it, and whether event k+1 lies within snap of it, so that a
+        # run reaches it without a step.
+        self.ev_t = np.array(events + [math.inf])
+        self.ev_snap = np.array([1e-13 * max(1.0, abs(te)) for te in events] + [0.0])
+        self.sample_slot = np.full(self.n_ev, n_samples)
+        self.renorm_slot = np.full(self.n_ev, -1)
+        self.samples_before = np.ones(self.n_ev + 1, dtype=int)
+        self.renorms_before = np.zeros(self.n_ev + 1, dtype=int)
+        renorm_times, intervals = [], []
+        for k, te in enumerate(events):
+            self.samples_before[k + 1] = self.samples_before[k]
+            if te in sample_set:
+                self.sample_slot[k] = self.samples_before[k]
+                self.samples_before[k + 1] += 1
+            self.renorms_before[k + 1] = len(renorm_times)
+            if te in renorm_set:
+                self.renorm_slot[k] = len(renorm_times)
+                intervals.append(te - (renorm_times[-1] if renorm_times else t0))
+                renorm_times.append(te)
+                self.renorms_before[k + 1] += 1
+        self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
+        self.renorm_times, self.intervals = np.array(renorm_times), np.array(intervals)
+
+        self.Y = np.empty((n, d + d * d))
+        for i, b in enumerate(bundles0):
+            self.Y[i, :d] = b.base
+            self.Y[i, d:] = b.frame.ravel()
+        self.samples = np.empty((n, n_samples + 1, d)) if n_samples else None
+        if n_samples:
+            self.samples[:, 0] = self.Y[:, :d]
+        self.log_rows = np.empty((n, len(renorm_times), d))
+
+        self.t = np.full(n, float(t0))
+        self.K1, self.Jc = np.empty_like(self.Y), np.empty((n, d, d))
+        _block_derivative(field, jacobian, self.t, self.Y, self.K1, self.Jc)
+        self.Ks = [np.empty_like(self.Y) for _ in range(6)]  # stages 2..7
+        self.Js, self.J7 = np.empty((n, d, d)), np.empty((n, d, d))
+        self.h_prop = np.full(n, min(cfg.h_init, cfg.h_max))
+        self.taken = np.zeros(n, dtype=int)
+        self.rejected = np.zeros(n, dtype=int)
+        self.ev = np.zeros(n, dtype=int)
+        self.active = np.ones(n, dtype=bool)
+        self.results = [None] * n
+
+    def _outputs(self, i: int, k_samples: int, k_renorms: int):
+        """Member i's RenormLog and sampled Trajectory (or None) so far."""
+        log = RenormLog(
+            self.renorm_times[:k_renorms],
+            self.intervals[:k_renorms],
+            self.log_rows[i, :k_renorms].copy(),
+        )
+        traj = None
+        if self.samples is not None:
+            traj = Trajectory(
+                times=self.sample_times[:k_samples],
+                states=self.samples[i, :k_samples].copy(),
+                dimension=self.d,
+                steps_taken=int(self.taken[i]),
+                steps_rejected=int(self.rejected[i]),
+            )
+        return log, traj
+
+    def _fail(self, i: int, exc: IntegrationError, k_samples=None, k_renorms=None):
+        """Member i stops with exc; a BlowUpError carries the partial results."""
+        if isinstance(exc, BlowUpError):
+            k = self.ev[i]
+            exc.partial_log, exc.partial_traj = self._outputs(
+                i,
+                self.samples_before[k] if k_samples is None else k_samples,
+                self.renorms_before[k] if k_renorms is None else k_renorms,
+            )
+        self.results[i] = exc
+        self.active[i] = False
+
+    def _renorm(self, idx: np.ndarray, e: np.ndarray):
+        """Re-orthonormalize the frames of members idx at their events e."""
+        d, Y = self.d, self.Y
+        q, stretches = _orthonormalize(Y[idx, d:].reshape(idx.size, d, d))
+        degenerate = np.any(stretches == 0.0, axis=1)
+        for j in np.flatnonzero(degenerate).tolist():
+            i, k = int(idx[j]), int(e[j])
+            te = float(self.ev_t[k])
+            self._fail(
+                i,
+                BlowUpError(
+                    f"tangent frame degenerated at t = {te!r}", t=te, last_state=Y[i, :d].copy()
+                ),
+                k_samples=self.samples_before[k + 1],
+            )
+        ok = ~degenerate
+        idx, e, q, stretches = idx[ok], e[ok], q[ok], stretches[ok]
+        for i, slot, row in zip(idx.tolist(), self.renorm_slot[e].tolist(), stretches):
+            self.log_rows[i, slot] = np.log(row)
+        Y[idx, d:] = q.reshape(idx.size, -1)
+        # The base state is unchanged, so its Jacobian is the cached one.
+        self.K1[idx, d:] = (self.Jc[idx] @ Y[idx, d:].reshape(idx.size, d, d)).reshape(idx.size, -1)
+
+    def _reach_events(self, idx: np.ndarray):
+        """Members idx stand at their next event: sample, renormalize, move on."""
+        while idx.size:
+            e = self.ev[idx]
+            self.t[idx] = self.ev_t[e]
+            if self.samples is not None:
+                self.samples[idx, self.sample_slot[e]] = self.Y[idx, : self.d]
+            renorm = self.renorm_slot[e] >= 0
+            if renorm.any():
+                self._renorm(idx[renorm], e[renorm])
+            self.ev[idx] = e + 1
+            for i in idx[e + 1 == self.n_ev].tolist():
+                if self.active[i]:
+                    d = self.d
+                    bundle = TangentBundle(
+                        base=self.Y[i, :d].copy(), frame=self.Y[i, d:].reshape(d, d).copy()
+                    )
+                    self.results[i] = (bundle,) + self._outputs(
+                        i, self.samples_before[-1], self.renorms_before[-1]
+                    )
+                    self.active[i] = False
+            idx = idx[self.chained[e] & self.active[idx]]
+
+    def run(self) -> list:
+        cfg, Y, K1, t, active = self.cfg, self.Y, self.K1, self.t, self.active
+        field, jacobian, Js = self.field, self.jacobian, self.Js
+        atol, rtol = cfg.abs_tol, cfg.rel_tol
+        K2, K3, K4, K5, K6, K7 = self.Ks
+        self._reach_events(np.flatnonzero(self.ev_t[self.ev] - t <= self.ev_snap[self.ev]))
+        with np.errstate(all="ignore"):
+            while True:
+                for i in np.flatnonzero(
+                    active & (self.taken + self.rejected >= cfg.max_steps)
+                ).tolist():
+                    self._fail(
+                        i,
+                        StepBudgetError(
+                            f"max_steps = {cfg.max_steps} exhausted at t = {float(t[i])!r}",
+                            t=float(t[i]),
+                            last_state=Y[i].copy(),
+                        ),
+                    )
+                if not active.any():
+                    return self.results
+
+                target, snap = self.ev_t[self.ev], self.ev_snap[self.ev]
+                remaining = target - t
+                capped = self.h_prop >= remaining
+                h = np.where(active, np.where(capped, remaining, self.h_prop), 0.0)
+                hc = h[:, None]
+                t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
+                Y2 = Y + hc * (_A21 * K1)
+                _block_derivative(field, jacobian, t2, Y2, K2, Js)
+                Y3 = Y + hc * (_A31 * K1 + _A32 * K2)
+                _block_derivative(field, jacobian, t3, Y3, K3, Js)
+                Y4 = Y + hc * (_A41 * K1 + _A42 * K2 + _A43 * K3)
+                _block_derivative(field, jacobian, t4, Y4, K4, Js)
+                Y5 = Y + hc * (_A51 * K1 + _A52 * K2 + _A53 * K3 + _A54 * K4)
+                _block_derivative(field, jacobian, t5, Y5, K5, Js)
+                Y6 = Y + hc * (_A61 * K1 + _A62 * K2 + _A63 * K3 + _A64 * K4 + _A65 * K5)
+                _block_derivative(field, jacobian, t6, Y6, K6, Js)
+                Y_new = Y + hc * (_B1 * K1 + _B3 * K3 + _B4 * K4 + _B5 * K5 + _B6 * K6)
+                _block_derivative(field, jacobian, t6, Y_new, K7, self.J7)
+                r = (
+                    hc
+                    * (_E1 * K1 + _E3 * K3 + _E4 * K4 + _E5 * K5 + _E6 * K6 + _E7 * K7)
+                    / (atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new)))
+                )
+                err = np.sqrt(np.cumsum(r * r, axis=1)[:, -1] / Y.shape[1])
+
+                # A non-finite stage state makes Y_new non-finite, and a NaN
+                # makes a maximum NaN, which fails the comparison.  Members
+                # with h = 0 repeat their finite state.
+                if not np.abs(Y_new).max() <= BLOWUP_THRESHOLD:
+                    blown = active & ~(np.abs(Y_new).max(axis=1) <= BLOWUP_THRESHOLD)
+                    stages = ((t2, Y2), (t3, Y3), (t4, Y4), (t5, Y5), (t6, Y6))
+                    for i in np.flatnonzero(blown).tolist():
+                        self._blow_up(i, stages, t6, Y_new)
+
+                accept = active & (err <= 1.0)
+                reject = active & ~accept
+                factor = np.array([_controller_factor(x) for x in err.tolist()])
+                h_next = np.minimum(h * factor, cfg.h_max)
+                t_new = t + h
+                np.copyto(t_new, target, where=np.abs(t_new - target) <= snap)
+                np.copyto(t, t_new, where=accept)
+                np.copyto(Y, Y_new, where=accept[:, None])
+                np.copyto(K1, K7, where=accept[:, None])
+                np.copyto(self.Jc, self.J7, where=accept[:, None, None])
+                self.taken += accept
+                self.rejected += reject
+                np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))
+                for i in np.flatnonzero(reject & (self.h_prop < cfg.h_min)).tolist():
+                    self._fail(
+                        i,
+                        StiffnessError(
+                            f"step size fell below h_min = {cfg.h_min!r} at t = {float(t[i])!r}",
+                            t=float(t[i]),
+                            last_state=Y[i].copy(),
+                        ),
+                    )
+                self._reach_events(np.flatnonzero(accept & (target - t <= snap)))
+
+    def _blow_up(self, i: int, stages, t_new, Y_new):
+        """Member i's attempted step left the finite range: fail as the scalar
+        stepper does, at its first non-finite stage state if there is one."""
+        for ts, Ys in stages:
+            if not _finite(Ys[i].tolist()):
+                t = float(ts[i])
+                exc = BlowUpError(
+                    f"non-finite state during step at t = {t!r}", t=t, last_state=self.Y[i].copy()
+                )
+                break
+        else:
+            t = float(t_new[i])
+            exc = BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=Y_new[i].copy())
+        self._fail(i, exc)
+
+
+def integrate_tangent_block(
+    field,
+    jacobian,
+    bundles0,
+    t0: float,
+    t1: float,
+    renorm_interval: float,
+    cfg: IntegratorConfig,
+    out_stride: float | None = None,
+) -> list:
+    """Propagate the tangent runs of a block of systems together, with DP54.
+
+    Member i starts from bundles0[i] under the system that entry i of the
+    column kernels `field(t, cols)` / `jacobian(t, cols)` describes (see
+    `model.column_kernels`): they take the state as d numpy columns and
+    return the field's d columns and the Jacobian's d*d entries row-major.
+    Each member gets exactly what `integrate_with_tangents` gives it alone,
+    bit for bit: the tuple (final bundle, RenormLog, Trajectory-or-None), or
+    the IntegrationError its own run raises, with ``partial_log`` /
+    ``partial_traj`` on a BlowUpError.
+    """
+    if cfg.method != "adaptive-DP54":
+        raise ValueError("the block stepper is adaptive-DP54 only")
+    _check_tangent_run(t0, t1, renorm_interval, bundles0)
+    if not bundles0:
+        return []
+    return _Dp54Block(field, jacobian, bundles0, t0, t1, renorm_interval, cfg, out_stride).run()

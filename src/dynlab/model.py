@@ -58,6 +58,7 @@ __all__ = [
     "project",
     "full_system",
     "reduced_system",
+    "column_kernels",
 ]
 
 
@@ -126,55 +127,68 @@ def _as_state(y, dim: int) -> list:
 # --- float kernels -----------------------------------------------------------
 # Each right-hand side and Jacobian is written once, here, without validation.
 # The state components and constants may be Python floats (the integrator's
-# stepper) or equal-length numpy columns (the vectorised verification suite);
-# every operation is elementwise, so both give the same bits per state.
+# stepper) or equal-length numpy columns (the vectorised verification suite,
+# the batched tangent stepper); every operation is elementwise, so both give
+# the same bits per state.
 
 
 def _full_rhs(y, C, D, E, F) -> list:
     """Full field at y = (y1, ..., y5), as a list of its five components."""
     y1, y2, y3, y4, y5 = y
     G = y3 + 0.125 * (y1 * y1 + y2 * y2 + y4 * y4 + y5 * y5)
-    M = y1 * y5 - y2 * y4
+    m = 0.75 * (y1 * y5 - y2 * y4)  # (3/4) M
     return [
-        C * y1 - G * y2 - 0.75 * M * y4 + 2.0 * y2,
-        C * y2 + G * y1 - 0.75 * M * y5 + 2.0 * y1,
+        C * y1 - G * y2 - m * y4 + 2.0 * y2,
+        C * y2 + G * y1 - m * y5 + 2.0 * y1,
         D * (y1 * y2 + y4 * y5) + E * y3 + F,
-        C * y4 - G * y5 + 0.75 * M * y1 + 2.0 * y5,
-        C * y5 + G * y4 + 0.75 * M * y2 + 2.0 * y4,
+        C * y4 - G * y5 + m * y1 + 2.0 * y5,
+        C * y5 + G * y4 + m * y2 + 2.0 * y4,
     ]
 
 
 def _full_jac(y, C, D, E) -> list:
-    """Row-major entries of the 5x5 Jacobian of the full field."""
+    """Row-major entries of the 5x5 Jacobian of the full field.
+
+    Products that several entries share are formed once, each as it would be
+    written out in full (0.25*y1*y2 is (0.25*y1)*y2), so an entry's bits do
+    not depend on the sharing; (-a)*b and -(a*b) are the same float.
+    """
     y1, y2, y3, y4, y5 = y
     G = y3 + 0.125 * (y1 * y1 + y2 * y2 + y4 * y4 + y5 * y5)
-    M = y1 * y5 - y2 * y4
+    m = 0.75 * (y1 * y5 - y2 * y4)  # (3/4) M
+    mG = -G
+    a1, a2, a4, a5 = 0.25 * y1, 0.25 * y2, 0.25 * y4, 0.25 * y5
+    b1, b2, b4, b5 = 0.75 * y1, 0.75 * y2, 0.75 * y4, 0.75 * y5
+    p12, p45, q12, q45 = a1 * y2, b4 * y5, b1 * y2, a4 * y5
+    r15, r24 = 0.5 * y1 * y5, 0.5 * y2 * y4
+    s = -(a2 * y5) - b1 * y4
+    u = a1 * y4 + b2 * y5
     return [
-        C - 0.25 * y1 * y2 - 0.75 * y4 * y5,
-        -G - 0.25 * y2 * y2 + 0.75 * y4 * y4 + 2.0,
+        C - p12 - p45,
+        mG - a2 * y2 + b4 * y4 + 2.0,
         -y2,
-        0.5 * y2 * y4 - 0.75 * M,
-        -0.25 * y2 * y5 - 0.75 * y1 * y4,
-        G + 0.25 * y1 * y1 - 0.75 * y5 * y5 + 2.0,
-        C + 0.25 * y1 * y2 + 0.75 * y4 * y5,
+        r24 - m,
+        s,
+        G + a1 * y1 - b5 * y5 + 2.0,
+        C + p12 + p45,
         y1,
-        0.25 * y1 * y4 + 0.75 * y2 * y5,
-        -0.5 * y1 * y5 - 0.75 * M,
+        u,
+        -r15 - m,
         D * y2,
         D * y1,
         E,
         D * y5,
         D * y4,
-        0.5 * y1 * y5 + 0.75 * M,
-        -0.25 * y2 * y5 - 0.75 * y1 * y4,
+        r15 + m,
+        s,
         -y5,
-        C - 0.25 * y4 * y5 - 0.75 * y1 * y2,
-        -G - 0.25 * y5 * y5 + 0.75 * y1 * y1 + 2.0,
-        0.25 * y1 * y4 + 0.75 * y2 * y5,
-        -0.5 * y2 * y4 + 0.75 * M,
+        C - q45 - q12,
+        mG - a5 * y5 + b1 * y1 + 2.0,
+        u,
+        -r24 + m,
         y4,
-        G + 0.25 * y4 * y4 - 0.75 * y2 * y2 + 2.0,
-        C + 0.25 * y4 * y5 + 0.75 * y1 * y2,
+        G + a4 * y4 - b2 * y2 + 2.0,
+        C + q45 + q12,
     ]
 
 
@@ -336,4 +350,34 @@ def reduced_system(p: Params, K: float) -> DynamicalSystem:
         lambda t, z: _reduced_rhs(z, K, C, D, E, F),
         lambda t, z: _reduced_jac(z, K, C, D, E),
         3,
+    )
+
+
+def column_kernels(p: Params, name: str, values):
+    """Field and Jacobian kernels of a block of systems that differ in one constant.
+
+    Member i is `full_system(p)` with constant `name` (C, D, E or F) set to
+    values[i], or `reduced_system(p, values[i])` for name "K".  Both kernels
+    take the state as d numpy columns, entry i belonging to member i, and
+    return the field's d columns and the Jacobian's d*d entries row-major, as
+    numpy columns.  They run the systems' own float kernels with every
+    constant a column, so member i gets the bits of its own system's kernels.
+    Returns (field_kernel, jacobian_kernel, d).
+    """
+    if name not in ("C", "D", "E", "F", "K"):
+        raise ValueError(f"no column kernels for constant {name!r}")
+    col = np.array(values, dtype=float)
+    if col.ndim != 1 or not np.all(np.isfinite(col)):
+        raise InvalidStateError(f"{name} values must be a finite 1-D sequence")
+    C, D, E, F = (col if k == name else np.full(col.size, getattr(p, k)) for k in "CDEF")
+    if name == "K":
+        return (
+            lambda t, z: _reduced_rhs(z, col, C, D, E, F),
+            lambda t, z: _reduced_jac(z, col, C, D, E),
+            3,
+        )
+    return (
+        lambda t, y: _full_rhs(y, C, D, E, F),
+        lambda t, y: _full_jac(y, C, D, E),
+        5,
     )

@@ -6,10 +6,12 @@ exact circles for section geometry.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dynlab import analysis
 from dynlab.analysis import (
     LyapunovReport,
     ScanSettings,
@@ -141,6 +143,19 @@ class TestLyapunovSpectrum:
         rep = lyapunov_spectrum(system, y0, 20.0, 120.0, 1.0, IntegratorConfig())
         assert not rep.diverged
         assert abs(rep.exponents.sum() - trace) <= 1e-5
+
+    def test_structural_exponents(self):
+        """At C = -1, D = -1, E = -0.5, F = 0 the criterion-9 start settles on
+        a K-plane attractor, where the full spectrum holds the bilinear mode
+        2C and the neutral K-mode; the spectrum sums to trace(J) = 4C + E."""
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
+        rep = lyapunov_spectrum(
+            full_system(p), [0.73, -0.4, 0.2, 0.33, 0.11], 100.0, 350.0, 1.0, cfg
+        )
+        assert np.min(np.abs(rep.exponents - 2.0 * p.C)) < 1e-2
+        assert np.min(np.abs(rep.exponents)) < 1e-2
+        assert abs(rep.exponents.sum() - (4.0 * p.C + p.E)) < 1e-5
 
     def test_diverged_report(self):
         cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=5000)
@@ -312,6 +327,96 @@ class TestParameterScan:
             assert a.classification == b.classification
             np.testing.assert_array_equal(a.exponents, b.exponents)
             np.testing.assert_array_equal(a.extrema_sample, b.extrema_sample)
+
+
+def assert_same_records(a, b):
+    """Records equal field by field; NaNs must sit in the same places."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.param_name, x.param_value, x.classification) == (
+            y.param_name,
+            y.param_value,
+            y.classification,
+        )
+        np.testing.assert_array_equal(x.largest_exponent, y.largest_exponent)
+        np.testing.assert_array_equal(x.exponents, y.exponents)
+        np.testing.assert_array_equal(x.extrema_sample, y.extrema_sample)
+
+
+class TestBatchedScan:
+    """A fixed-policy shard of at least analysis._MIN_BATCH points advances its
+    tangent runs as one block; every record must be the one its point gets
+    on its own."""
+
+    P = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+    CFG = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
+
+    def settings(self, y0, **kw):
+        base = dict(
+            y0=tuple(y0), t_transient=30.0, t_total=70.0, out_stride=0.1, integrator=self.CFG,
+            workers=1,
+        )
+        base.update(kw)
+        return ScanSettings(**base)
+
+    def scan(self, monkeypatch, min_batch, p, name, values, settings):
+        monkeypatch.setattr(analysis, "_MIN_BATCH", min_batch)
+        return parameter_scan(p, name, values, "fixed", settings)
+
+    def test_c_scan_equilibrium_and_chaos(self, monkeypatch):
+        s = self.settings([0.73, -0.4, 0.2, 0.33, 0.11])
+        values = np.linspace(-1.6, -0.6, 6)
+        scalar = self.scan(monkeypatch, 10**9, self.P, "C", values, s)
+        batched = self.scan(monkeypatch, 2, self.P, "C", values, s)
+        assert_same_records(batched, scalar)
+        labels = {r.classification for r in scalar}
+        assert {"equilibrium", "chaotic"} <= labels
+
+    def test_k_scan(self, monkeypatch):
+        s = self.settings([0.1, 0.05, 0.0])
+        values = [-1.0, -0.3, 0.0, 0.5, 1.5]
+        scalar = self.scan(monkeypatch, 10**9, self.P, "K", values, s)
+        batched = self.scan(monkeypatch, 2, self.P, "K", values, s)
+        assert_same_records(batched, scalar)
+        assert all(r.exponents.size == 3 for r in batched)
+
+    def test_blow_up_and_step_budget_in_the_tangent_phase(self, monkeypatch):
+        """On the invariant line y1 = y2 = y4 = y5 = 0 the frame grows at a
+        rate rising to C + 2: C = 1 blows up after one renormalisation (a
+        diverged record with finite exponents from the partial log), C = 0.6
+        runs out of steps (NaN exponents), C = -2.5 completes."""
+        p = Params(C=-2.5, D=-1.0, E=-0.1, F=0.0)
+        cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=1000)
+        s = self.settings(
+            [0.0, 0.0, 1.99, 0.0, 0.0], t_transient=1.0, t_total=41.0, renorm_interval=10.0,
+            integrator=cfg,
+        )
+        values = [-2.5, 0.6, 1.0]
+        scalar = self.scan(monkeypatch, 10**9, p, "C", values, s)
+        batched = self.scan(monkeypatch, 2, p, "C", values, s)
+        assert_same_records(batched, scalar)
+        ok, budget, blown = batched
+        assert ok.classification == "equilibrium"
+        assert budget.classification == blown.classification == "diverged"
+        assert np.all(np.isnan(budget.exponents))
+        assert np.all(np.isfinite(blown.exponents))
+        assert budget.extrema_sample.size == blown.extrema_sample.size == 0
+
+    def test_independent_of_order_shards_and_workers(self, monkeypatch):
+        s = self.settings([0.73, -0.4, 0.2, 0.33, 0.11], t_transient=20.0, t_total=45.0)
+        values = [-1.5, -1.3, -1.1, -0.9, -0.8, -0.7, -0.6]
+        reference = self.scan(monkeypatch, 10**9, self.P, "C", values, s)
+        by_value = {r.param_value: r for r in reference}
+        runs = [
+            (2, values, 1),  # one block of 7
+            (2, values, 2),  # blocks of 4 and 3
+            (4, values[::-1], 2),  # a block of 4 and a point-by-point share of 3
+            (3, values[3:] + values[:3], 3),  # shares of 3, 2 and 2: one block
+        ]
+        for min_batch, vals, workers in runs:
+            got = self.scan(monkeypatch, min_batch, self.P, "C", vals, replace(s, workers=workers))
+            assert [r.param_value for r in got] == vals
+            assert_same_records(got, [by_value[v] for v in vals])
 
 
 class TestPoincareSection:

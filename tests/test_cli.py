@@ -302,6 +302,19 @@ class TestScan:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("param, steps", [("K", "2"), ("C", "-1")])
+    def test_rejected_scan_creates_no_directory(self, tmp_path, param, steps):
+        """A K-scan from a full start and a negative step count exit 2 before
+        the output directory is made."""
+        cfg = self.scan_config(tmp_path)
+        out = tmp_path / "never"
+        code = main(
+            ["scan", "--config", cfg, "--out", str(out), "--param", param,
+             "--min", "-1.0", "--max", "1.0", f"--steps={steps}", "--workers", "1"]
+        )
+        assert code == 2
+        assert not out.exists()
+
     def test_k_scan_reduced_state(self, tmp_path):
         cfg = self.scan_config(tmp_path, initial_state={"reduced": [0.4, -0.2, 0.1], "K": 0.0})
         out = tmp_path / "run"

@@ -15,9 +15,10 @@ from dynlab.integrator import (
     TangentBundle,
     fixed_rk4_step,
     integrate,
+    integrate_tangent_block,
     integrate_with_tangents,
 )
-from dynlab.model import Params, full_system, reduced_system
+from dynlab.model import Params, column_kernels, full_system, reduced_system
 
 RNG = np.random.default_rng(11)
 
@@ -404,3 +405,153 @@ class TestNonFiniteBlowUp:
     def test_rk4_new_state(self, component, value):
         with pytest.raises(BlowUpError):
             fixed_rk4_step(_goes_bad(component, value, 0.0), self.Y0, 0.0, 0.1)
+
+
+def _assert_same_outcome(block_outcome, scalar_run):
+    """A block member's outcome equals its scalar run bit for bit: results, or
+    the error with its message, time, last state and partial results."""
+    try:
+        scalar = scalar_run()
+    except BlowUpError as exc:
+        assert type(block_outcome) is BlowUpError
+        assert (str(block_outcome), block_outcome.t) == (str(exc), exc.t)
+        assert block_outcome.last_state.tobytes() == exc.last_state.tobytes()
+        _assert_same_results(
+            (None, block_outcome.partial_log, block_outcome.partial_traj),
+            (None, exc.partial_log, exc.partial_traj),
+        )
+        return
+    except (StepBudgetError, StiffnessError) as exc:
+        assert type(block_outcome) is type(exc)
+        assert (str(block_outcome), block_outcome.t) == (str(exc), exc.t)
+        assert block_outcome.last_state.tobytes() == exc.last_state.tobytes()
+        assert not hasattr(block_outcome, "partial_log")
+        return
+    _assert_same_results(block_outcome, scalar)
+
+
+def _assert_same_results(a, b):
+    (bundle_a, log_a, traj_a), (bundle_b, log_b, traj_b) = a, b
+    if bundle_b is not None:
+        assert bundle_a.base.tobytes() == bundle_b.base.tobytes()
+        assert bundle_a.frame.tobytes() == bundle_b.frame.tobytes()
+    for name in ("times", "intervals", "log_stretches"):
+        assert getattr(log_a, name).tobytes() == getattr(log_b, name).tobytes()
+    if traj_b is None:
+        assert traj_a is None
+        return
+    assert traj_a.times.tobytes() == traj_b.times.tobytes()
+    assert traj_a.states.tobytes() == traj_b.states.tobytes()
+    assert (traj_a.steps_taken, traj_a.steps_rejected) == (
+        traj_b.steps_taken,
+        traj_b.steps_rejected,
+    )
+
+
+class TestTangentBlock:
+    """Each member of a block gets exactly its own integrate_with_tangents run."""
+
+    def run_both(self, p, name, values, y0, t0, t1, renorm, cfg, out_stride):
+        d = len(y0)
+        bundles = [TangentBundle(base=np.array(y0), frame=np.eye(d)) for _ in values]
+        field, jacobian, _ = column_kernels(p, name, values)
+        block = integrate_tangent_block(
+            field, jacobian, bundles, t0, t1, renorm, cfg, out_stride=out_stride
+        )
+        assert len(block) == len(values)
+        for v, outcome in zip(values, block):
+            if name == "K":
+                system = reduced_system(p, v)
+            else:
+                system = full_system(Params(**{**p.__dict__, name: v}))
+            _assert_same_outcome(
+                outcome,
+                lambda: integrate_with_tangents(
+                    system.field,
+                    system.jacobian,
+                    TangentBundle(base=np.array(y0), frame=np.eye(d)),
+                    t0,
+                    t1,
+                    renorm,
+                    cfg,
+                    out_stride=out_stride,
+                ),
+            )
+
+    @pytest.mark.parametrize("out_stride", [0.1, None])
+    def test_full_system_c_values(self, out_stride):
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        self.run_both(
+            p, "C", [-1.5, -1.2, -0.9, -0.6], [0.73, -0.4, 0.2, 0.33, 0.11],
+            0.0, 20.0, 1.0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), out_stride,
+        )
+
+    @pytest.mark.parametrize("name, values", [("D", [-1.0, 0.5]), ("E", [-0.5, -2.0]), ("F", [0.0, 0.3])])
+    def test_other_constants(self, name, values):
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        self.run_both(
+            p, name, values, [0.73, -0.4, 0.2, 0.33, 0.11],
+            0.0, 6.0, 1.0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), 0.25,
+        )
+
+    def test_reduced_system_k_values(self):
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        self.run_both(
+            p, "K", [-1.0, 0.0, 0.7], [0.1, 0.05, 0.0],
+            5.0, 25.0, 1.0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), 0.1,
+        )
+
+    def test_blow_up_budget_and_completion_in_one_block(self):
+        """On the invariant line y1 = y2 = y4 = y5 = 0 the frame grows at a
+        rate rising to C + 2: at C = 1 it passes 1e12 in the second renorm
+        interval, at C = 0.6 the step budget runs out first, and at C = -2.5
+        the run completes."""
+        p = Params(C=-2.5, D=-1.0, E=-0.1, F=0.0)
+        self.run_both(
+            p, "C", [-2.5, 0.6, 1.0], [0.0, 0.0, 1.99, 0.0, 0.0],
+            1.0, 41.0, 10.0, IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=1000), 0.1,
+        )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("component", range(3))
+    def test_non_finite_stage_state(self, component, value):
+        """Member 1's field goes bad at t = 2.025; member 0 is unaffected."""
+        A = np.diag([-1.0, -2.0, -0.5])
+
+        def field(t, cols):
+            f = [-c for c in cols]
+            bad = f[component].copy()
+            bad[1] = value if t[1] >= 2.025 else bad[1]
+            f[component] = bad
+            return f
+
+        def jacobian(t, cols):
+            return [np.full(2, a) for a in A.ravel()]
+
+        bundles = [TangentBundle(base=np.array([1.0, -0.5, 0.25]), frame=np.eye(3))] * 2
+        cfg = TestNonFiniteBlowUp.LOOSE
+        block = integrate_tangent_block(field, jacobian, bundles, 0.0, 5.0, 1.0, cfg, 0.5)
+        for outcome, f in zip(block, (decay, _goes_bad(component, value, 2.025))):
+            _assert_same_outcome(
+                outcome,
+                lambda: integrate_with_tangents(
+                    f, lambda t, y: A, bundles[0], 0.0, 5.0, 1.0, cfg, out_stride=0.5
+                ),
+            )
+        assert "non-finite state during step" in str(block[1])
+
+    def test_validates_like_the_scalar_run(self):
+        field, jacobian, _ = column_kernels(Params(-1.0, -1.0, -0.5, 0.0), "C", [-1.0])
+        bundles = [TangentBundle(base=np.ones(5), frame=np.eye(5))]
+        cfg = IntegratorConfig()
+        with pytest.raises(ValueError):
+            integrate_tangent_block(field, jacobian, bundles, 0.0, 1.0, 0.0, cfg)
+        with pytest.raises(ValueError):
+            integrate_tangent_block(field, jacobian, bundles, 1.0, 1.0, 1.0, cfg)
+        with pytest.raises(ValueError):
+            integrate_tangent_block(
+                field, jacobian, bundles, 0.0, 1.0, 1.0, IntegratorConfig(method="fixed-RK4")
+            )
+        skew = [TangentBundle(base=np.ones(5), frame=2.0 * np.eye(5))]
+        with pytest.raises(InvalidStateError):
+            integrate_tangent_block(field, jacobian, skew, 0.0, 1.0, 1.0, cfg)

@@ -12,12 +12,15 @@ from dynlab.errors import DegenerateParametersError, InvalidStateError
 from dynlab.model import (
     KRatio,
     Params,
+    column_kernels,
     equilibrium,
     full_jacobian,
     full_vector_field,
+    full_system,
     lift,
     project,
     reduced_jacobian,
+    reduced_system,
     reduced_vector_field,
 )
 
@@ -271,6 +274,37 @@ class TestLift:
             np.testing.assert_allclose(f5[:3], f3, atol=1e-13 * scale, rtol=1e-13)
             np.testing.assert_allclose(f5[3], K * f5[0], atol=1e-13 * scale)
             np.testing.assert_allclose(f5[4], K * f5[1], atol=1e-13 * scale)
+
+
+class TestColumnKernels:
+    """Entry i of the column kernels has the bits of member i's own system."""
+
+    P = Params(C=-1.0, D=-0.7, E=-0.5, F=0.2)
+
+    @pytest.mark.parametrize("name", ["C", "D", "E", "F", "K"])
+    def test_members_match_their_systems(self, name):
+        values = RNG.normal(size=6)
+        d = 3 if name == "K" else 5
+        states = RNG.normal(size=(6, d)) * 10.0 ** RNG.uniform(-3, 3, size=(6, 1))
+        field, jacobian, dim = column_kernels(self.P, name, values)
+        assert dim == d
+        cols = states.T
+        f_cols, j_cols = np.array(field(0.0, cols)), np.array(jacobian(0.0, cols))
+        assert f_cols.shape == (d, 6) and j_cols.shape == (d * d, 6)
+        for i, v in enumerate(values):
+            if name == "K":
+                system = reduced_system(self.P, float(v))
+            else:
+                system = full_system(Params(**{**self.P.__dict__, name: float(v)}))
+            y = states[i].tolist()
+            assert f_cols[:, i].tolist() == system.field.kernel(0.0, y)
+            assert j_cols[:, i].tolist() == system.jacobian.kernel(0.0, y)
+
+    def test_rejects_bad_values(self):
+        with pytest.raises(InvalidStateError):
+            column_kernels(self.P, "C", [0.0, np.nan])
+        with pytest.raises(ValueError):
+            column_kernels(self.P, "G", [0.0])
 
 
 class TestTypes:
