@@ -73,8 +73,8 @@ SCAN_PARAMS = ("C", "D", "E", "F", "K")
 
 # A fixed-policy scan share of at least this many points advances its tangent
 # runs as one block.  Measured on criterion-9 C points (T = 100 + 150, tol
-# 1e-8, 2-vCPU VM) against point-by-point runs: 0.65x at 6 points, 0.83x at 8,
-# 1.13x at 10, 1.25x at 12, 1.6x at 16.
+# 1e-8, 2-vCPU VM) against point-by-point runs: 0.81x at 8 points, 0.98-1.00x
+# at 10, 1.09x at 11, 1.16-1.25x at 12, 1.30x at 14, 1.59x at 16.
 _MIN_BATCH = 10
 
 
@@ -168,8 +168,8 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
     """(report, traj, terminal) of a run's outcome.
 
     The outcome is the (bundle, log, traj) of a completed tangent run or the
-    IntegrationError that ended the transient or the tangent run; a
-    BlowUpError of the tangent run carries the log and samples so far.
+    IntegrationError that ended the transient or the tangent run; an error
+    of the tangent run carries the log and samples so far.
     """
     if isinstance(outcome, IntegrationError):
         diverged, terminal = True, None
@@ -213,8 +213,9 @@ def lyapunov_spectrum(
     """Lyapunov spectrum from an identity tangent frame after a transient.
 
     Exponent i is the total log stretch of frame column i divided by the
-    post-transient time span.  On blow-up the report carries whatever
-    intervals completed, flagged diverged.
+    post-transient time span.  When the tangent run fails (blow-up, step
+    budget, stiffness) the report carries whatever intervals completed,
+    flagged diverged.
     """
     report, _, _ = _spectrum_run(system, y0, t_transient, t_total, renorm_interval, cfg)
     return report

@@ -20,6 +20,14 @@ same formula, so both routes give bitwise-identical results.  The same holds
 for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
 tangent frame is formed from those entries by one routine either way.
 
+One attempted step (five stage states, the new state, the error norm) is a
+function generated once per dimension d and cached (`_dp54_attempt`), as
+`dataclasses` builds its methods: the components live in locals and each
+one is written out with the expression a loop over components would use, in
+the same order, so the results are those of that loop, bit for bit, without
+its lists and zips.  It calls the kernel through the contract above and
+keeps every check below inline.
+
 `integrate_tangent_block` advances the tangent runs of a block of systems
 that differ in one constant (a fixed-policy parameter scan) together, as one
 (n, d + d*d) array, on column kernels (`model.column_kernels`).  Each member
@@ -36,12 +44,14 @@ Output samples are obtained by capping steps exactly at each output time; no
 dense interpolation is ever used, so sampled states carry only the
 integration error itself.  A stage state that goes non-finite, or a new state
 with any component non-finite or outside [-1e12, 1e12], aborts with
-BlowUpError.  All routines are deterministic: identical inputs produce
-bitwise-identical results on one platform.
+BlowUpError; a derivative with the wrong number of components, at any
+stage, aborts with DimensionMismatchError.  All routines are deterministic:
+identical inputs produce bitwise-identical results on one platform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +104,16 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# The same rows as (node, [(stage, weight), ...]) for the generated attempt.
+_STAGES = [
+    (_C2, [(1, _A21)]),
+    (_C3, [(1, _A31), (2, _A32)]),
+    (_C4, [(1, _A41), (2, _A42), (3, _A43)]),
+    (_C5, [(1, _A51), (2, _A52), (3, _A53), (4, _A54)]),
+    (1.0, [(1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65)]),
+]
+_WEIGHTS = [(1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)]
+_ERROR_WEIGHTS = [(1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7)]
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -211,6 +231,81 @@ def _float_kernel(fn):
     return lambda t, y: fn(t, np.array(y)).ravel().tolist()
 
 
+def _mismatch(f, d: int) -> DimensionMismatchError:
+    return DimensionMismatchError(f"field returned {len(f)} components for a {d}-vector")
+
+
+@functools.lru_cache(maxsize=None)
+def _dp54_attempt(d: int):
+    """One DP54 attempt on d-vectors, ``attempt(kernel, t, h, y, k1, atol,
+    rtol) -> (y_new, k7, err_norm)``, generated once per d.
+
+    The source unpacks y and the stages into locals and writes every stage
+    state, the new state and the error terms out per component, with the
+    tableau's floats inlined, so no list is built but the ones the kernel
+    receives.  Each component is the expression a loop over components would
+    evaluate, in the same order, and the squared error terms are summed in
+    component order, so the results do not depend on d being unrolled.
+    A stage state is checked finite by its sum before the kernel sees it,
+    the new state by `_check_blowup`, and every derivative is unpacked to
+    exactly d components.
+    """
+    i_s = range(d)
+    comma = "," if d == 1 else ""
+
+    def row(name):
+        return ", ".join(f"{name}{i}" for i in i_s) + comma
+
+    def combo(weights, i):
+        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in weights)
+
+    def unpack(s, f):
+        return [
+            "    try:",
+            f"        {row(f'k{s}_')} = {f}",
+            "    except ValueError:",
+            f"        raise _mismatch({f}, {d}) from None",
+        ]
+
+    lines = ["def attempt(kernel, t, h, y, k1, atol, rtol):", f"    {row('y_')} = y"]
+    lines += unpack(1, "k1")
+    for s, (c, weights) in enumerate(_STAGES, start=2):
+        lines.append(f"    ts = t + {c!r} * h" if c != 1.0 else "    ts = t + h")
+        lines += [f"    z{i} = y_{i} + h * ({combo(weights, i)})" for i in i_s]
+        lines += [
+            f"    s = {' + '.join(f'z{i}' for i in i_s)}",
+            "    if not s - s == 0.0:",
+            "        raise BlowUpError(",
+            '            f"non-finite state during step at t = {ts!r}", t=ts, last_state=np.array(y)',
+            "        )",
+            f"    f = kernel(ts, [{row('z')}])",
+        ]
+        lines += unpack(s, "f")
+    lines += [f"    w{i} = y_{i} + h * ({combo(_WEIGHTS, i)})" for i in i_s]
+    lines += [
+        f"    y_new = [{row('w')}]",
+        "    _check_blowup(y_new, t + h)",
+        "    k7 = kernel(t + h, y_new)",
+    ]
+    lines += unpack(7, "k7")
+    for i in i_s:
+        lines += [
+            f"    u, v = abs(y_{i}), abs(w{i})",
+            f"    r{i} = h * ({combo(_ERROR_WEIGHTS, i)}) / (atol + rtol * (u if u > v else v))",
+        ]
+    sq = " + ".join(f"r{i} * r{i}" for i in i_s)
+    lines.append(f"    return y_new, k7, _sqrt(({sq}) / {d})")
+    namespace = {
+        "np": np,
+        "_sqrt": math.sqrt,
+        "BlowUpError": BlowUpError,
+        "_check_blowup": _check_blowup,
+        "_mismatch": _mismatch,
+    }
+    exec(compile("\n".join(lines), f"<DP54 attempt, d = {d}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 class _Dp54Stepper:
     """Adaptive stepper advancing one solution on floats; holds FSAL cache and counters."""
 
@@ -221,19 +316,11 @@ class _Dp54Stepper:
         self.y = y0
         self.k1 = kernel(self.t, y0)
         if len(self.k1) != len(y0):
-            raise DimensionMismatchError(
-                f"field returned {len(self.k1)} components for a {len(y0)}-vector"
-            )
+            raise _mismatch(self.k1, len(y0))
+        self.attempt = _dp54_attempt(len(y0))
         self.h_prop = min(cfg.h_init, cfg.h_max)
         self.steps_taken = 0
         self.steps_rejected = 0
-
-    def _stage(self, t: float, ys: list) -> list:
-        if not _finite(ys):
-            raise BlowUpError(
-                f"non-finite state during step at t = {t!r}", t=t, last_state=np.array(self.y)
-            )
-        return self.kernel(t, ys)
 
     def refresh_derivative(self):
         """Recompute the cached derivative after the state was replaced."""
@@ -242,7 +329,7 @@ class _Dp54Stepper:
     def step_to(self, t_target: float):
         cfg = self.cfg
         atol, rtol = cfg.abs_tol, cfg.rel_tol
-        stage = self._stage
+        attempt, kernel = self.attempt, self.kernel
         snap = 1e-13 * max(1.0, abs(t_target))
         while t_target - self.t > snap:
             if self.steps_taken + self.steps_rejected >= cfg.max_steps:
@@ -255,47 +342,8 @@ class _Dp54Stepper:
             capped = self.h_prop >= remaining
             h = remaining if capped else self.h_prop
 
-            t, y, k1 = self.t, self.y, self.k1
-            k2 = stage(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
-            k3 = stage(
-                t + _C3 * h, [u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)]
-            )
-            k4 = stage(
-                t + _C4 * h,
-                [u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)],
-            )
-            k5 = stage(
-                t + _C5 * h,
-                [
-                    u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                    for u, a, b, c, d in zip(y, k1, k2, k3, k4)
-                ],
-            )
-            k6 = stage(
-                t + h,
-                [
-                    u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                    for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-                ],
-            )
-            y_new = [
-                u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-                for u, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-            ]
-            _check_blowup(y_new, t + h)
-            k7 = self.kernel(t + h, y_new)
-
-            sq = 0.0
-            for u, v, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                u, v = abs(u), abs(v)  # finite here; max() would cost a call
-                r = (
-                    h
-                    * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
-                    / (atol + rtol * (u if u > v else v))
-                )
-                sq += r * r
-            err_norm = math.sqrt(sq / len(y))
-
+            t = self.t
+            y_new, k7, err_norm = attempt(kernel, t, h, self.y, self.k1, atol, rtol)
             if err_norm <= 1.0:
                 t_new = t + h
                 if abs(t_new - t_target) <= snap:
@@ -491,8 +539,9 @@ def integrate_with_tangents(
     Every renorm_interval time units the frame is re-orthonormalized and the
     log of each column's stretch factor recorded.  Returns (final bundle,
     RenormLog, Trajectory-or-None); the trajectory samples the base state at
-    out_stride when given.  On blow-up the partial log/trajectory are attached
-    to the raised BlowUpError as ``partial_log`` / ``partial_traj``.
+    out_stride when given.  When the run fails, the log and trajectory so far
+    are attached to the raised IntegrationError as ``partial_log`` /
+    ``partial_traj``.
     """
     _check_tangent_run(t0, t1, renorm_interval, [bundle0])
 
@@ -545,7 +594,7 @@ def integrate_with_tangents(
                 last_renorm_t = te
                 stepper.y = stepper.y[:d] + q.ravel().tolist()
                 stepper.refresh_derivative()
-    except BlowUpError as exc:
+    except IntegrationError as exc:
         exc.partial_log, exc.partial_traj = _partial_results()
         raise
 
@@ -653,15 +702,14 @@ class _Dp54Block:
             )
         return log, traj
 
-    def _fail(self, i: int, exc: IntegrationError, k_samples=None, k_renorms=None):
-        """Member i stops with exc; a BlowUpError carries the partial results."""
-        if isinstance(exc, BlowUpError):
-            k = self.ev[i]
-            exc.partial_log, exc.partial_traj = self._outputs(
-                i,
-                self.samples_before[k] if k_samples is None else k_samples,
-                self.renorms_before[k] if k_renorms is None else k_renorms,
-            )
+    def _fail(self, i: int, exc: IntegrationError, k_samples=None):
+        """Member i stops with exc, which carries the partial results."""
+        k = self.ev[i]
+        exc.partial_log, exc.partial_traj = self._outputs(
+            i,
+            self.samples_before[k] if k_samples is None else k_samples,
+            self.renorms_before[k],
+        )
         self.results[i] = exc
         self.active[i] = False
 
@@ -825,8 +873,8 @@ def integrate_tangent_block(
     return the field's d columns and the Jacobian's d*d entries row-major.
     Each member gets exactly what `integrate_with_tangents` gives it alone,
     bit for bit: the tuple (final bundle, RenormLog, Trajectory-or-None), or
-    the IntegrationError its own run raises, with ``partial_log`` /
-    ``partial_traj`` on a BlowUpError.
+    the IntegrationError its own run raises, with its ``partial_log`` /
+    ``partial_traj``.
     """
     if cfg.method != "adaptive-DP54":
         raise ValueError("the block stepper is adaptive-DP54 only")

@@ -9,10 +9,21 @@ import math
 import numpy as np
 import pytest
 
-from dynlab.errors import BlowUpError, InvalidStateError, StepBudgetError, StiffnessError
+from dynlab.errors import (
+    BlowUpError,
+    DimensionMismatchError,
+    InvalidStateError,
+    StepBudgetError,
+    StiffnessError,
+)
 from dynlab.integrator import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
+    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     IntegratorConfig,
     TangentBundle,
+    _check_blowup,
+    _dp54_attempt,
+    _finite,
     fixed_rk4_step,
     integrate,
     integrate_tangent_block,
@@ -120,6 +131,18 @@ class TestIntegrate:
         cfg = IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14, h_init=0.5, h_min=0.5, h_max=1.0)
         with pytest.raises(StiffnessError):
             integrate(decay, np.array([1.0]), 0.0, 1.0, 1.0, cfg)
+
+    @pytest.mark.parametrize("n_out", [6, 4])
+    def test_field_changes_length_mid_run(self, n_out):
+        """A field that returns the wrong number of components only after the
+        first call is caught at the stage that receives it."""
+
+        def field(t, y):
+            f = -y
+            return f if t < 0.05 else np.resize(f, n_out)
+
+        with pytest.raises(DimensionMismatchError, match=f"returned {n_out} components for a 5-vector"):
+            integrate(field, np.ones(5), 0.0, 1.0, 0.5, IntegratorConfig())
 
 
 class TestFixedRk4:
@@ -319,6 +342,125 @@ class TestKernelAndAdapterPaths:
         )
 
 
+def _reference_attempt(kernel, t, h, y, k1, atol, rtol):
+    """One DP54 attempt as list comprehensions over the components: the
+    reference that the generated attempt must match bit for bit."""
+
+    def stage(ts, ys):
+        if not _finite(ys):
+            raise BlowUpError(
+                f"non-finite state during step at t = {ts!r}", t=ts, last_state=np.array(y)
+            )
+        return kernel(ts, ys)
+
+    k2 = stage(t + _C2 * h, [u + h * (_A21 * a) for u, a in zip(y, k1)])
+    k3 = stage(
+        t + _C3 * h, [u + h * (_A31 * a + _A32 * b) for u, a, b in zip(y, k1, k2)]
+    )
+    k4 = stage(
+        t + _C4 * h,
+        [u + h * (_A41 * a + _A42 * b + _A43 * c) for u, a, b, c in zip(y, k1, k2, k3)],
+    )
+    k5 = stage(
+        t + _C5 * h,
+        [
+            u + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+            for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ],
+    )
+    k6 = stage(
+        t + h,
+        [
+            u + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+            for u, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ],
+    )
+    y_new = [
+        u + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
+        for u, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+    ]
+    _check_blowup(y_new, t + h)
+    k7 = kernel(t + h, y_new)
+
+    sq = 0.0
+    for u, v, a, c, d, e, g, k in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        u, v = abs(u), abs(v)
+        r = (
+            h
+            * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * k)
+            / (atol + rtol * (u if u > v else v))
+        )
+        sq += r * r
+    err_norm = math.sqrt(sq / len(y))
+    return y_new, k7, err_norm
+
+
+def _coupled_kernel(d, rng):
+    """A nonlinear, time-dependent float kernel on d-vectors."""
+    m = rng.normal(size=(d, d)).tolist()
+
+    def kernel(t, y):
+        return [
+            sum(a * v for a, v in zip(row, y)) + u * math.sin(t + 3.0 * u)
+            for row, u in zip(m, y)
+        ]
+
+    return kernel
+
+
+class TestGeneratedAttempt:
+    """The attempt generated per dimension equals the list-comprehension
+    reference bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 12, 30])
+    def test_matches_reference(self, d):
+        rng = np.random.default_rng(d)
+        kernel = _coupled_kernel(d, rng)
+        attempt = _dp54_attempt(d)
+        verdicts = set()
+        for _ in range(150):
+            t = float(rng.uniform(-5.0, 5.0))
+            y = (rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 1.0, size=d)).tolist()
+            h = float(10.0 ** rng.uniform(-4.0, -0.5))
+            args = (kernel, t, h, y, kernel(t, y), 1e-8, 1e-6)
+            got, want = attempt(*args), _reference_attempt(*args)
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+            assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+            assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+            verdicts.add(want[2] <= 1.0)
+        assert verdicts == {True, False}  # accepted and rejected steps
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_blow_up_matches_reference(self, d):
+        """A stage state that overflows and a new state past 1e12 raise the
+        reference's BlowUpError, with its message, time and last state."""
+        kernels = {
+            "non-finite state during step at t = 1.075": (
+                lambda t, y: [1e200 * (1.0 + u * u) for u in y]
+            ),
+            "solution blew up at t = 1.25": lambda t, y: [1e13 for u in y],
+        }
+        for message, kernel in kernels.items():
+            y = [0.5 + 0.1 * i for i in range(d)]
+            args = (kernel, 1.0, 0.25, y, kernel(1.0, y), 1e-8, 1e-8)
+            errors = []
+            for run in (_dp54_attempt(d), _reference_attempt):
+                with pytest.raises(BlowUpError, match=message) as info:
+                    run(*args)
+                errors.append(info.value)
+            got, want = errors
+            assert (str(got), got.t) == (str(want), want.t)
+            assert got.last_state.tobytes() == want.last_state.tobytes()
+
+    def test_generated_once_per_dimension(self):
+        attempt = _dp54_attempt(4)
+        misses = _dp54_attempt.cache_info().misses
+        for _ in range(2):
+            integrate(decay, np.ones(4), 0.0, 1.0, 0.5, IntegratorConfig())
+        assert _dp54_attempt.cache_info().misses == misses
+        assert _dp54_attempt(4) is attempt
+
+
 def _goes_bad(component, value, t_bad):
     """y' = -y, except that one component of the derivative is `value` from t_bad on."""
 
@@ -344,13 +486,16 @@ class TestNonFiniteBlowUp:
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("component", range(5))
     def test_stage_state(self, component, value):
-        """The third stage derivative is non-finite, so the fourth stage state is."""
+        """The third stage derivative is non-finite, so the fourth stage state
+        is; in 1-, 3- and 5-D runs, wherever the component fits."""
         field = _goes_bad(component, value, 2.025)
-        with pytest.raises(BlowUpError, match="non-finite state during step") as info:
-            integrate(field, self.Y0, 0.0, 5.0, 0.5, self.LOOSE)
-        partial = info.value.partial_traj
-        np.testing.assert_array_equal(partial.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert np.all(np.isfinite(partial.states))
+        for d in (1, 3, 5)[(component + 1) // 2 :]:
+            with pytest.raises(BlowUpError, match="non-finite state during step at t = 2.08") as info:
+                integrate(field, self.Y0[:d], 0.0, 5.0, 0.5, self.LOOSE)
+            partial = info.value.partial_traj
+            np.testing.assert_array_equal(partial.times, [0.0, 0.5, 1.0, 1.5, 2.0])
+            assert partial.states.shape == (5, d) and np.all(np.isfinite(partial.states))
+            np.testing.assert_array_equal(info.value.last_state, partial.states[-1])
 
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("component", range(5))
@@ -412,20 +557,14 @@ def _assert_same_outcome(block_outcome, scalar_run):
     the error with its message, time, last state and partial results."""
     try:
         scalar = scalar_run()
-    except BlowUpError as exc:
-        assert type(block_outcome) is BlowUpError
+    except (BlowUpError, StepBudgetError, StiffnessError) as exc:
+        assert type(block_outcome) is type(exc)
         assert (str(block_outcome), block_outcome.t) == (str(exc), exc.t)
         assert block_outcome.last_state.tobytes() == exc.last_state.tobytes()
         _assert_same_results(
             (None, block_outcome.partial_log, block_outcome.partial_traj),
             (None, exc.partial_log, exc.partial_traj),
         )
-        return
-    except (StepBudgetError, StiffnessError) as exc:
-        assert type(block_outcome) is type(exc)
-        assert (str(block_outcome), block_outcome.t) == (str(exc), exc.t)
-        assert block_outcome.last_state.tobytes() == exc.last_state.tobytes()
-        assert not hasattr(block_outcome, "partial_log")
         return
     _assert_same_results(block_outcome, scalar)
 
