@@ -25,7 +25,6 @@ from .integrator import (
     IntegratorConfig,
     TangentBundle,
     Trajectory,
-    fixed_rk4_step,
     integrate,
     integrate_with_tangents,
 )

@@ -39,6 +39,7 @@ from .integrator import (
     IntegratorConfig,
     TangentBundle,
     Trajectory,
+    _check_schedule,
     integrate,
     integrate_tangent_block,
     integrate_with_tangents,
@@ -102,7 +103,11 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Per-point run settings shared by every entry of a parameter scan."""
+    """Per-point run settings shared by every entry of a parameter scan.
+
+    The window, the stride and the renorm interval are checked when the
+    settings are made, so a bad value stops a scan before any point runs.
+    """
 
     y0: tuple
     t_transient: float = 200.0
@@ -113,6 +118,10 @@ class ScanSettings:
     extrema_cap: int = 64
     eps_zero: float = 1e-3
     workers: int | None = None
+
+    def __post_init__(self):
+        _check_window(self.t_transient, self.t_total)
+        _check_schedule(self.t_transient, self.t_total, self.out_stride, self.renorm_interval)
 
 
 @dataclass
@@ -169,7 +178,8 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
 
     The outcome is the (bundle, log, traj) of a completed tangent run or the
     IntegrationError that ended the transient or the tangent run; an error
-    of the tangent run carries the log and samples so far.
+    of the tangent run carries the log and samples so far, one of the
+    transient an empty log, which gives NaN exponents as no log does.
     """
     if isinstance(outcome, IntegrationError):
         diverged, terminal = True, None
@@ -344,7 +354,6 @@ def _scan_shard(args) -> list[ScanRecord]:
     cfg = settings.integrator
     if len(values) < _MIN_BATCH or cfg.method != "adaptive-DP54":
         return [_scan_point((p_base, param_name, v, seed, settings))[0] for v in values]
-    _check_window(settings.t_transient, settings.t_total)
     y0 = np.asarray(seed, dtype=float)
     outcomes = [None] * len(values)
     members, bundles = [], []

@@ -472,8 +472,6 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
         dim = 5
     if args.steps < 0:
         raise ConfigError("--steps must be >= 0")
-    directory = _out_dir(cfg, out_override)
-    values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     settings = ScanSettings(
         y0=tuple(y0.tolist()),
         t_transient=cfg["times"]["t_transient"],
@@ -485,6 +483,8 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
         eps_zero=cfg["scan"]["eps_zero"],
         workers=args.workers,
     )
+    directory = _out_dir(cfg, out_override)
+    values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     records = parameter_scan(p, param, values, args.policy, settings)
 
     header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(dim)]

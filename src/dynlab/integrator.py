@@ -5,13 +5,13 @@ Two methods:
 * ``adaptive-DP54`` -- Dormand-Prince 5(4) embedded pair with the FSAL stage
   reused, weighted-RMS error control (scale = abs_tol + rel_tol * max(|y|
   before, after)), safety factor 0.9 and step-factor clamp [0.2, 5.0].
-* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init on
-  numpy arrays, kept as an independent cross-check.
+* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init,
+  kept as an independent cross-check.
 
-The DP54 stepper works on Python floats: the state, the seven stages, the
-error norm and the step-size controller are lists and floats, because at five
-(or thirty) components numpy's per-call overhead costs more than the
-arithmetic.  It calls a float kernel ``kernel(t, y: list) -> list``.  A field
+Both steppers work on Python floats: the state, the stages, the error norm
+and the step-size controller are lists and floats, because at five (or
+thirty) components numpy's per-call overhead costs more than the
+arithmetic.  They call a float kernel ``kernel(t, y: list) -> list``.  A field
 that carries one as its ``kernel`` attribute (the callables of
 ``model.full_system`` / ``model.reduced_system``) is called through it;
 any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
@@ -28,21 +28,27 @@ the same order, so the results are those of that loop, bit for bit, without
 its lists and zips.  It calls the kernel through the contract above and
 keeps every check below inline.
 
-`integrate_tangent_block` advances the tangent runs of a block of systems
-that differ in one constant (a fixed-policy parameter scan) together, as one
-(n, d + d*d) array, on column kernels (`model.column_kernels`).  Each member
-keeps its own time, step size, accept/reject decision, counters, budget and
-events; the stage arithmetic runs over the block with the scalar stepper's
-expressions in the same order, the error norm of each member is summed over
-its components in order, the controller runs per member on floats, and J*Q
-is one stacked product, so every member gets the bits of its own
-`integrate_with_tangents` run, errors and partial results included.  The
-block's per-iteration cost hardly depends on n, so it pays only from about
-ten members on; callers choose (see `analysis._MIN_BATCH`).
+Every run follows one schedule (`_Events`, a numpy table of stops): it steps
+exactly onto each sample time and, on a tangent run, each renorm time, where
+it re-orthonormalizes the frame; a plain run has no renorms.  No dense
+interpolation is ever used, so sampled states carry only the integration
+error itself.  `integrate` and `integrate_with_tangents` share one loop over
+the schedule, which builds every run's (RenormLog, Trajectory), finished or
+failed.
 
-Output samples are obtained by capping steps exactly at each output time; no
-dense interpolation is ever used, so sampled states carry only the
-integration error itself.  A stage state that goes non-finite, or a new state
+`integrate_tangent_block` advances the tangent runs of a block of systems
+that differ in one constant (a fixed-policy scan) together, as one
+(n, d + d*d) array on column kernels (`model.column_kernels`), each member
+at its own stop of one schedule with its own time, step size, accept/reject
+decision, counters and budget.  The stages run over the block with the
+scalar stepper's expressions in the same order, each member's error norm is
+summed over its components in order, the controller runs per member on
+floats, and J*Q is one stacked product, so every member gets the bits of its
+own `integrate_with_tangents` run, errors and partial results included.  The
+per-iteration cost hardly depends on n, so a block pays only from about ten
+members on (see `analysis._MIN_BATCH`).
+
+A stage state that goes non-finite, or a new state
 with any component non-finite or outside [-1e12, 1e12], aborts with
 BlowUpError; a derivative with the wrong number of components, at any
 stage, aborts with DimensionMismatchError.  All routines are deterministic:
@@ -74,7 +80,6 @@ __all__ = [
     "integrate",
     "integrate_with_tangents",
     "integrate_tangent_block",
-    "fixed_rk4_step",
     "BLOWUP_THRESHOLD",
 ]
 
@@ -373,10 +378,10 @@ def _controller_factor(err_norm: float) -> float:
 
 
 class _Rk4Stepper:
-    """Fixed-step classical RK4 stepper with the same interface (state as a list)."""
+    """Fixed-step classical RK4 stepper on the float kernel, with the same interface."""
 
-    def __init__(self, field, t0: float, y0: list, cfg: IntegratorConfig):
-        self.field = field
+    def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
+        self.kernel = kernel
         self.cfg = cfg
         self.t = t0
         self.y = y0
@@ -397,32 +402,45 @@ class _Rk4Stepper:
                     last_state=np.array(self.y),
                 )
             h = min(cfg.h_init, t_target - self.t)
-            self.y = fixed_rk4_step(self.field, np.array(self.y), self.t, h).tolist()
+            self.y = _rk4_step(self.kernel, self.y, self.t, h)
             t_new = self.t + h
             self.t = t_target if abs(t_new - t_target) <= snap else t_new
             self.steps_taken += 1
         self.t = t_target
 
 
-def fixed_rk4_step(field, y, t: float, h: float) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step; raises BlowUpError on NaN."""
+def _rk4_step(kernel, y: list, t: float, h: float) -> list:
+    """One classical 4th-order Runge-Kutta step on floats.
+
+    Each component is the expression of the step written on arrays, in the
+    same order.  Raises BlowUpError on a bad new state and
+    DimensionMismatchError on a derivative of the wrong length.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    y = np.asarray(y, dtype=float)
-    k1 = field(t, y)
-    k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = field(t + h, y + h * k3)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_blowup(y_new.tolist(), t + h)
+    d = len(y)
+
+    def stage(ts, z):
+        f = kernel(ts, z)
+        if len(f) != d:
+            raise _mismatch(f, d)
+        return f
+
+    k1 = stage(t, y)
+    k2 = stage(t + 0.5 * h, [u + 0.5 * h * a for u, a in zip(y, k1)])
+    k3 = stage(t + 0.5 * h, [u + 0.5 * h * b for u, b in zip(y, k2)])
+    k4 = stage(t + h, [u + h * c for u, c in zip(y, k3)])
+    y_new = [
+        u + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e) for u, a, b, c, e in zip(y, k1, k2, k3, k4)
+    ]
+    _check_blowup(y_new, t + h)
     return y_new
 
 
-def _make_stepper(kernel, field, t0: float, y0: list, cfg: IntegratorConfig):
-    """DP54 on the float kernel, or RK4 on the array field."""
-    if cfg.method == "adaptive-DP54":
-        return _Dp54Stepper(kernel, t0, y0, cfg)
-    return _Rk4Stepper(field, t0, y0, cfg)
+def _make_stepper(kernel, t0: float, y0: list, cfg: IntegratorConfig):
+    """The configured method's stepper on the float kernel."""
+    stepper = _Dp54Stepper if cfg.method == "adaptive-DP54" else _Rk4Stepper
+    return stepper(kernel, t0, y0, cfg)
 
 
 def _output_times(t0: float, t1: float, out_stride: float) -> np.ndarray:
@@ -435,41 +453,106 @@ def _output_times(t0: float, t1: float, out_stride: float) -> np.ndarray:
     return times
 
 
+def _check_schedule(t0: float, t1: float, out_stride=None, renorm_interval=None):
+    """Reject an empty window and a stride or renorm interval that is not positive."""
+    if not t1 > t0:
+        raise ValueError("require t1 > t0")
+    for name, step in (("out_stride", out_stride), ("renorm_interval", renorm_interval)):
+        if step is not None and not step > 0.0:
+            raise ValueError(f"{name} must be positive")
+
+
+class _Events:
+    """The stops of a run over [t0, t1] and what it records at each.
+
+    `times` are the sample and renorm times after t0, sorted, a shared time
+    once; out_stride None means no samples, renorm_interval None no frame.
+    Stop k samples into row `sample_slot[k]` of a buffer whose row 0 is the
+    start and row `spare` takes stops without a sample, and logs into row
+    `renorm_slot[k]` (-1: no renorm).  Past stops 0..k-1 a run holds
+    `samples_before[k]` samples, the start included, and `renorms_before[k]`
+    renorms.
+    """
+
+    def __init__(self, t0: float, t1: float, out_stride=None, renorm_interval=None):
+        _check_schedule(t0, t1, out_stride, renorm_interval)
+        self.sample_times = None if out_stride is None else _output_times(t0, t1, out_stride)
+        samples = np.empty(0) if out_stride is None else self.sample_times[1:]
+        self.renorm_times = (
+            np.empty(0) if renorm_interval is None else _output_times(t0, t1, renorm_interval)[1:]
+        )
+        self.intervals = np.diff(self.renorm_times, prepend=t0)
+        self.times = np.union1d(samples, self.renorm_times)
+        sampled = np.isin(self.times, samples, assume_unique=True)
+        renormed = np.isin(self.times, self.renorm_times, assume_unique=True)
+        self.spare = samples.size + 1
+        self.sample_slot = np.where(sampled, np.cumsum(sampled), self.spare)
+        self.renorm_slot = np.where(renormed, np.cumsum(renormed) - 1, -1)
+        self.samples_before = 1 + np.cumsum(np.append(0, sampled))
+        self.renorms_before = np.cumsum(np.append(0, renormed))
+
+    def results(self, k: int, samples, log_rows, taken, rejected, at_stop=False):
+        """(RenormLog, Trajectory-or-None) of a run that has passed stops
+        0..k-1, from its sample and log buffers; with at_stop it has also
+        sampled stop k, whose frame then degenerated."""
+        n = self.renorms_before[k]
+        log = RenormLog(self.renorm_times[:n], self.intervals[:n], log_rows[:n].copy())
+        if self.sample_times is None:
+            return log, None
+        d, n = samples.shape[1], self.samples_before[k + at_stop]
+        traj = Trajectory(self.sample_times[:n], samples[:n].copy(), d, int(taken), int(rejected))
+        return log, traj
+
+
+def _run_events(stepper, events: _Events, d: int):
+    """Step onto each stop: sample y[:d] and, at a renorm stop, re-orthonormalize
+    the d x d frame that follows it in y.  Returns (RenormLog,
+    Trajectory-or-None), or raises the IntegrationError with those of the
+    stops passed as ``partial_log`` / ``partial_traj``; a degenerate frame
+    keeps the sample at its stop but not the renorm."""
+    samples = np.empty((events.spare + 1, d))
+    samples[0] = stepper.y[:d]
+    log_rows = np.empty((events.renorm_times.size, d))
+    at_stop = False
+    stops = zip(events.times.tolist(), events.sample_slot.tolist(), events.renorm_slot.tolist())
+    try:
+        for k, (te, sample_slot, renorm_slot) in enumerate(stops):
+            stepper.step_to(te)
+            y = stepper.y
+            samples[sample_slot] = y[:d]
+            if renorm_slot < 0:
+                continue
+            q, stretches = _orthonormalize(np.array(y[d:]).reshape(d, d))
+            if np.any(stretches == 0.0):
+                at_stop = True
+                raise BlowUpError(
+                    f"tangent frame degenerated at t = {te!r}", t=te, last_state=np.array(y[:d])
+                )
+            log_rows[renorm_slot] = np.log(stretches)
+            stepper.y = y[:d] + q.ravel().tolist()
+            stepper.refresh_derivative()
+    except IntegrationError as exc:
+        exc.partial_log, exc.partial_traj = events.results(
+            k, samples, log_rows, stepper.steps_taken, stepper.steps_rejected, at_stop
+        )
+        raise
+    return events.results(
+        events.times.size, samples, log_rows, stepper.steps_taken, stepper.steps_rejected
+    )
+
+
 def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: IntegratorConfig) -> Trajectory:
     """Integrate y' = field(t, y) over [t0, t1], sampling every out_stride.
 
     The final time t1 is always included as the last sample.  Raises
-    StiffnessError / BlowUpError / StepBudgetError per the config contract.
+    StiffnessError / BlowUpError / StepBudgetError per the config contract,
+    with the samples so far as ``partial_traj`` (and an empty
+    ``partial_log``).
     """
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
-    if not out_stride > 0.0:
-        raise ValueError("out_stride must be positive")
+    events = _Events(t0, t1, float(out_stride))
     y = _validate_initial(y0)
-    times = _output_times(t0, t1, out_stride)
-    states = np.empty((times.size, y.size))
-    states[0] = y
-    stepper = _make_stepper(_float_kernel(field), field, t0, y.tolist(), cfg)
-    for i, te in enumerate(times.tolist()[1:], start=1):
-        try:
-            stepper.step_to(te)
-        except IntegrationError as exc:
-            exc.partial_traj = Trajectory(
-                times=times[:i],
-                states=states[:i].copy(),
-                dimension=y.size,
-                steps_taken=stepper.steps_taken,
-                steps_rejected=stepper.steps_rejected,
-            )
-            raise
-        states[i] = stepper.y
-    return Trajectory(
-        times=times,
-        states=states,
-        dimension=y.size,
-        steps_taken=stepper.steps_taken,
-        steps_rejected=stepper.steps_rejected,
-    )
+    stepper = _make_stepper(_float_kernel(field), t0, y.tolist(), cfg)
+    return _run_events(stepper, events, y.size)[1]
 
 
 def _orthonormalize(frame: np.ndarray):
@@ -484,27 +567,10 @@ def _orthonormalize(frame: np.ndarray):
     return q * signs[..., None, :], np.abs(diag)
 
 
-def _check_tangent_run(t0: float, t1: float, renorm_interval: float, bundles):
-    if not renorm_interval > 0.0:
-        raise ValueError("renorm_interval must be positive")
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
+def _check_frames(bundles):
     for bundle in bundles:
         if bundle.orthonormality_defect() > 1e-6:
             raise InvalidStateError("initial frame is not orthonormal")
-
-
-def _tangent_events(t0: float, t1: float, renorm_interval: float, out_stride):
-    """(event times, renorm set, sample times or None, sample set) of a tangent run.
-
-    The events are the renorm and sample times after t0, sorted; a run steps
-    exactly onto each one.
-    """
-    renorm_times = _output_times(t0, t1, renorm_interval)[1:]
-    sample_times = _output_times(t0, t1, out_stride) if out_stride else None
-    renorm_set = set(renorm_times.tolist())
-    sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
-    return sorted(renorm_set | sample_set), renorm_set, sample_times, sample_set
 
 
 def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
@@ -543,66 +609,15 @@ def integrate_with_tangents(
     are attached to the raised IntegrationError as ``partial_log`` /
     ``partial_traj``.
     """
-    _check_tangent_run(t0, t1, renorm_interval, [bundle0])
-
+    events = _Events(t0, t1, out_stride, float(renorm_interval))
+    _check_frames([bundle0])
     d = bundle0.base.size
     aug = _tangent_kernel(_float_kernel(field), _float_kernel(jacobian), d)
-    event_times, renorm_set, sample_times, sample_set = _tangent_events(
-        t0, t1, renorm_interval, out_stride
-    )
-
     Y0 = bundle0.base.tolist() + bundle0.frame.ravel().tolist()
-    stepper = _make_stepper(aug, lambda t, Y: np.array(aug(t, Y.tolist())), t0, Y0, cfg)
-
-    log_times, log_dts, log_rows = [], [], []
-    samples = [bundle0.base.copy()] if sample_times is not None else None
-    last_renorm_t = t0
-
-    def _partial_results():
-        log = RenormLog(
-            np.array(log_times), np.array(log_dts), np.array(log_rows).reshape(len(log_rows), d)
-        )
-        traj = None
-        if samples is not None and len(samples) > 0:
-            n = len(samples)
-            traj = Trajectory(
-                times=sample_times[:n],
-                states=np.array(samples),
-                dimension=d,
-                steps_taken=stepper.steps_taken,
-                steps_rejected=stepper.steps_rejected,
-            )
-        return log, traj
-
-    try:
-        for te in event_times:
-            stepper.step_to(te)
-            if te in sample_set:
-                samples.append(stepper.y[:d])
-            if te in renorm_set:
-                frame = np.array(stepper.y[d:]).reshape(d, d)
-                q, stretches = _orthonormalize(frame)
-                if np.any(stretches == 0.0):
-                    raise BlowUpError(
-                        f"tangent frame degenerated at t = {te!r}",
-                        t=te,
-                        last_state=np.array(stepper.y[:d]),
-                    )
-                log_times.append(te)
-                log_dts.append(te - last_renorm_t)
-                log_rows.append(np.log(stretches))
-                last_renorm_t = te
-                stepper.y = stepper.y[:d] + q.ravel().tolist()
-                stepper.refresh_derivative()
-    except IntegrationError as exc:
-        exc.partial_log, exc.partial_traj = _partial_results()
-        raise
-
-    log, traj = _partial_results()
-    bundle = TangentBundle(
-        base=np.array(stepper.y[:d]), frame=np.array(stepper.y[d:]).reshape(d, d)
-    )
-    return bundle, log, traj
+    stepper = _make_stepper(aug, t0, Y0, cfg)
+    log, traj = _run_events(stepper, events, d)
+    frame = np.array(stepper.y[d:]).reshape(d, d)
+    return TangentBundle(base=np.array(stepper.y[:d]), frame=frame), log, traj
 
 
 def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, J: np.ndarray):
@@ -620,57 +635,30 @@ def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, J: np.nd
 
 
 class _Dp54Block:
-    """`_Dp54Stepper.step_to` and the event loop of `integrate_with_tangents`
-    on a block of tangent runs: row i of every array is member i.
+    """`_Dp54Stepper.step_to` and `_run_events` on a block of tangent runs
+    that share one schedule: row i of every array is member i.
 
-    A member that is done or has failed stays in the block with h = 0 and its
-    last state, so the column kernels always see every member.
+    Each member keeps its own place in the schedule (`ev`).  A member that
+    is done or has failed stays in the block with h = 0 and its last state,
+    so the column kernels always see every member.
     """
 
-    def __init__(self, field, jacobian, bundles0, t0, t1, renorm_interval, cfg, out_stride):
-        self.field, self.jacobian, self.cfg = field, jacobian, cfg
+    def __init__(self, field, jacobian, bundles0, t0, events: _Events, cfg):
+        self.field, self.jacobian, self.cfg, self.events = field, jacobian, cfg, events
         n = len(bundles0)
         d = self.d = bundles0[0].base.size
-        events, renorm_set, self.sample_times, sample_set = _tangent_events(
-            t0, t1, renorm_interval, out_stride
-        )
-        self.n_ev = len(events)
-        n_samples = 0 if self.sample_times is None else self.sample_times.size
-        # Per event k: its time and snap tolerance (a sentinel past the end
-        # keeps the lookups of finished members in range), its sample slot
-        # (others write a spare slot past the last), its renorm slot (-1:
-        # none), how many samples (counting the start) and renorms come
-        # before it, and whether event k+1 lies within snap of it, so that a
-        # run reaches it without a step.
-        self.ev_t = np.array(events + [math.inf])
-        self.ev_snap = np.array([1e-13 * max(1.0, abs(te)) for te in events] + [0.0])
-        self.sample_slot = np.full(self.n_ev, n_samples)
-        self.renorm_slot = np.full(self.n_ev, -1)
-        self.samples_before = np.ones(self.n_ev + 1, dtype=int)
-        self.renorms_before = np.zeros(self.n_ev + 1, dtype=int)
-        renorm_times, intervals = [], []
-        for k, te in enumerate(events):
-            self.samples_before[k + 1] = self.samples_before[k]
-            if te in sample_set:
-                self.sample_slot[k] = self.samples_before[k]
-                self.samples_before[k + 1] += 1
-            self.renorms_before[k + 1] = len(renorm_times)
-            if te in renorm_set:
-                self.renorm_slot[k] = len(renorm_times)
-                intervals.append(te - (renorm_times[-1] if renorm_times else t0))
-                renorm_times.append(te)
-                self.renorms_before[k + 1] += 1
+        self.n_ev = events.times.size
+        # Per stop k: its time and snap tolerance (a sentinel past the end
+        # keeps the lookups of finished members in range), and whether stop
+        # k+1 lies within snap of it, so that a run reaches it without a step.
+        self.ev_t = np.append(events.times, math.inf)
+        self.ev_snap = np.append(1e-13 * np.maximum(1.0, np.abs(events.times)), 0.0)
         self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
-        self.renorm_times, self.intervals = np.array(renorm_times), np.array(intervals)
 
-        self.Y = np.empty((n, d + d * d))
-        for i, b in enumerate(bundles0):
-            self.Y[i, :d] = b.base
-            self.Y[i, d:] = b.frame.ravel()
-        self.samples = np.empty((n, n_samples + 1, d)) if n_samples else None
-        if n_samples:
-            self.samples[:, 0] = self.Y[:, :d]
-        self.log_rows = np.empty((n, len(renorm_times), d))
+        self.Y = np.array([np.concatenate((b.base, b.frame.ravel())) for b in bundles0])
+        self.samples = np.empty((n, events.spare + 1, d))
+        self.samples[:, 0] = self.Y[:, :d]
+        self.log_rows = np.empty((n, events.renorm_times.size, d))
 
         self.t = np.full(n, float(t0))
         self.K1, self.Jc = np.empty_like(self.Y), np.empty((n, d, d))
@@ -684,31 +672,10 @@ class _Dp54Block:
         self.active = np.ones(n, dtype=bool)
         self.results = [None] * n
 
-    def _outputs(self, i: int, k_samples: int, k_renorms: int):
-        """Member i's RenormLog and sampled Trajectory (or None) so far."""
-        log = RenormLog(
-            self.renorm_times[:k_renorms],
-            self.intervals[:k_renorms],
-            self.log_rows[i, :k_renorms].copy(),
-        )
-        traj = None
-        if self.samples is not None:
-            traj = Trajectory(
-                times=self.sample_times[:k_samples],
-                states=self.samples[i, :k_samples].copy(),
-                dimension=self.d,
-                steps_taken=int(self.taken[i]),
-                steps_rejected=int(self.rejected[i]),
-            )
-        return log, traj
-
-    def _fail(self, i: int, exc: IntegrationError, k_samples=None):
+    def _fail(self, i: int, exc: IntegrationError, at_stop=False):
         """Member i stops with exc, which carries the partial results."""
-        k = self.ev[i]
-        exc.partial_log, exc.partial_traj = self._outputs(
-            i,
-            self.samples_before[k] if k_samples is None else k_samples,
-            self.renorms_before[k],
+        exc.partial_log, exc.partial_traj = self.events.results(
+            self.ev[i], self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i], at_stop
         )
         self.results[i] = exc
         self.active[i] = False
@@ -726,11 +693,11 @@ class _Dp54Block:
                 BlowUpError(
                     f"tangent frame degenerated at t = {te!r}", t=te, last_state=Y[i, :d].copy()
                 ),
-                k_samples=self.samples_before[k + 1],
+                at_stop=True,
             )
         ok = ~degenerate
         idx, e, q, stretches = idx[ok], e[ok], q[ok], stretches[ok]
-        for i, slot, row in zip(idx.tolist(), self.renorm_slot[e].tolist(), stretches):
+        for i, slot, row in zip(idx.tolist(), self.events.renorm_slot[e].tolist(), stretches):
             self.log_rows[i, slot] = np.log(row)
         Y[idx, d:] = q.reshape(idx.size, -1)
         # The base state is unchanged, so its Jacobian is the cached one.
@@ -741,9 +708,8 @@ class _Dp54Block:
         while idx.size:
             e = self.ev[idx]
             self.t[idx] = self.ev_t[e]
-            if self.samples is not None:
-                self.samples[idx, self.sample_slot[e]] = self.Y[idx, : self.d]
-            renorm = self.renorm_slot[e] >= 0
+            self.samples[idx, self.events.sample_slot[e]] = self.Y[idx, : self.d]
+            renorm = self.events.renorm_slot[e] >= 0
             if renorm.any():
                 self._renorm(idx[renorm], e[renorm])
             self.ev[idx] = e + 1
@@ -753,8 +719,8 @@ class _Dp54Block:
                     bundle = TangentBundle(
                         base=self.Y[i, :d].copy(), frame=self.Y[i, d:].reshape(d, d).copy()
                     )
-                    self.results[i] = (bundle,) + self._outputs(
-                        i, self.samples_before[-1], self.renorms_before[-1]
+                    self.results[i] = (bundle,) + self.events.results(
+                        self.n_ev, self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i]
                     )
                     self.active[i] = False
             idx = idx[self.chained[e] & self.active[idx]]
@@ -767,17 +733,10 @@ class _Dp54Block:
         self._reach_events(np.flatnonzero(self.ev_t[self.ev] - t <= self.ev_snap[self.ev]))
         with np.errstate(all="ignore"):
             while True:
-                for i in np.flatnonzero(
-                    active & (self.taken + self.rejected >= cfg.max_steps)
-                ).tolist():
-                    self._fail(
-                        i,
-                        StepBudgetError(
-                            f"max_steps = {cfg.max_steps} exhausted at t = {float(t[i])!r}",
-                            t=float(t[i]),
-                            last_state=Y[i].copy(),
-                        ),
-                    )
+                for i in np.flatnonzero(active & (self.taken + self.rejected >= cfg.max_steps)):
+                    ti = float(t[i])
+                    msg = f"max_steps = {cfg.max_steps} exhausted at t = {ti!r}"
+                    self._fail(i, StepBudgetError(msg, t=ti, last_state=Y[i].copy()))
                 if not active.any():
                     return self.results
 
@@ -828,15 +787,10 @@ class _Dp54Block:
                 self.taken += accept
                 self.rejected += reject
                 np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))
-                for i in np.flatnonzero(reject & (self.h_prop < cfg.h_min)).tolist():
-                    self._fail(
-                        i,
-                        StiffnessError(
-                            f"step size fell below h_min = {cfg.h_min!r} at t = {float(t[i])!r}",
-                            t=float(t[i]),
-                            last_state=Y[i].copy(),
-                        ),
-                    )
+                for i in np.flatnonzero(reject & (self.h_prop < cfg.h_min)):
+                    ti = float(t[i])
+                    msg = f"step size fell below h_min = {cfg.h_min!r} at t = {ti!r}"
+                    self._fail(i, StiffnessError(msg, t=ti, last_state=Y[i].copy()))
                 self._reach_events(np.flatnonzero(accept & (target - t <= snap)))
 
     def _blow_up(self, i: int, stages, t_new, Y_new):
@@ -878,7 +832,8 @@ def integrate_tangent_block(
     """
     if cfg.method != "adaptive-DP54":
         raise ValueError("the block stepper is adaptive-DP54 only")
-    _check_tangent_run(t0, t1, renorm_interval, bundles0)
+    events = _Events(t0, t1, out_stride, float(renorm_interval))
+    _check_frames(bundles0)
     if not bundles0:
         return []
-    return _Dp54Block(field, jacobian, bundles0, t0, t1, renorm_interval, cfg, out_stride).run()
+    return _Dp54Block(field, jacobian, bundles0, t0, events, cfg).run()

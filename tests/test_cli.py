@@ -302,17 +302,27 @@ class TestScan:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("param, steps", [("K", "2"), ("C", "-1")])
-    def test_rejected_scan_creates_no_directory(self, tmp_path, param, steps):
-        """A K-scan from a full start and a negative step count exit 2 before
-        the output directory is made."""
-        cfg = self.scan_config(tmp_path)
+    @pytest.mark.parametrize(
+        "param, steps, stride",
+        [
+            pytest.param("K", "2", 0.1, id="K-2"),
+            pytest.param("C", "-1", 0.1, id="C--1"),
+            pytest.param("C", "1", -0.1, id="out_stride=-0.1"),
+            pytest.param("C", "1", 0.0, id="out_stride=0"),
+        ],
+    )
+    def test_rejected_scan_creates_no_directory(self, tmp_path, capsys, param, steps, stride):
+        """A K-scan from a full start, a negative step count and an out_stride
+        that is not positive exit 2 before the output directory is made."""
+        times = {"t_transient": 20.0, "t_total": 80.0, "out_stride": stride}
+        cfg = self.scan_config(tmp_path, times=times)
         out = tmp_path / "never"
         code = main(
             ["scan", "--config", cfg, "--out", str(out), "--param", param,
              "--min", "-1.0", "--max", "1.0", f"--steps={steps}", "--workers", "1"]
         )
         assert code == 2
+        assert "dynlab: invalid config:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_k_scan_reduced_state(self, tmp_path):

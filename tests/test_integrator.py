@@ -12,6 +12,7 @@ import pytest
 from dynlab.errors import (
     BlowUpError,
     DimensionMismatchError,
+    IntegrationError,
     InvalidStateError,
     StepBudgetError,
     StiffnessError,
@@ -20,11 +21,18 @@ from dynlab.integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     IntegratorConfig,
+    RenormLog,
     TangentBundle,
+    Trajectory,
+    _Events,
     _check_blowup,
     _dp54_attempt,
     _finite,
-    fixed_rk4_step,
+    _float_kernel,
+    _orthonormalize,
+    _output_times,
+    _rk4_step,
+    _run_events,
     integrate,
     integrate_tangent_block,
     integrate_with_tangents,
@@ -132,38 +140,45 @@ class TestIntegrate:
         with pytest.raises(StiffnessError):
             integrate(decay, np.array([1.0]), 0.0, 1.0, 1.0, cfg)
 
-    @pytest.mark.parametrize("n_out", [6, 4])
-    def test_field_changes_length_mid_run(self, n_out):
+    @pytest.mark.parametrize(
+        "n_out, method",
+        [
+            pytest.param(n, m, id=str(n) if m == "adaptive-DP54" else f"{n}-{m}")
+            for m in ("adaptive-DP54", "fixed-RK4")
+            for n in (6, 4, 1)
+        ],
+    )
+    def test_field_changes_length_mid_run(self, n_out, method):
         """A field that returns the wrong number of components only after the
-        first call is caught at the stage that receives it."""
+        first call is caught at the stage that receives it, by either method."""
 
         def field(t, y):
             f = -y
             return f if t < 0.05 else np.resize(f, n_out)
 
         with pytest.raises(DimensionMismatchError, match=f"returned {n_out} components for a 5-vector"):
-            integrate(field, np.ones(5), 0.0, 1.0, 0.5, IntegratorConfig())
+            integrate(field, np.ones(5), 0.0, 1.0, 0.5, IntegratorConfig(method=method))
 
 
 class TestFixedRk4:
     def test_constant_derivative(self):
-        y = fixed_rk4_step(lambda t, y: np.array([1.0]), np.array([0.0]), 0.0, 0.5)
+        y = _rk4_step(lambda t, y: [1.0], [0.0], 0.0, 0.5)
         assert y[0] == 0.5
 
     def test_update_polynomial(self):
         """RK4 on y'=y reproduces 1 + h + h^2/2 + h^3/6 + h^4/24 exactly."""
         h = 0.1
-        y = fixed_rk4_step(lambda t, y: y, np.array([1.0]), 0.0, h)
+        y = _rk4_step(lambda t, y: y, [1.0], 0.0, h)
         expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
         assert abs(y[0] - expected) < 1e-12
 
     def test_halving_step_gains_factor_16(self):
         errs = []
         for h in (0.05, 0.025):
-            y = np.array([1.0])
+            y = [1.0]
             t = 0.0
             while t < 1.0 - 1e-12:
-                y = fixed_rk4_step(decay, y, t, h)
+                y = _rk4_step(lambda t, y: [-u for u in y], y, t, h)
                 t += h
             errs.append(abs(y[0] - math.exp(-1.0)))
         ratio = errs[0] / errs[1]
@@ -171,7 +186,7 @@ class TestFixedRk4:
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            fixed_rk4_step(decay, np.array([1.0]), 0.0, -0.1)
+            _rk4_step(lambda t, y: [-u for u in y], [1.0], 0.0, -0.1)
 
     def test_global_order_slope(self):
         """log-error vs log-h slope on y'=-y is 4.0 +/- 0.2 for h in [1e-3, 1e-1]."""
@@ -549,7 +564,7 @@ class TestNonFiniteBlowUp:
     @pytest.mark.parametrize("component", range(5))
     def test_rk4_new_state(self, component, value):
         with pytest.raises(BlowUpError):
-            fixed_rk4_step(_goes_bad(component, value, 0.0), self.Y0, 0.0, 0.1)
+            _rk4_step(_float_kernel(_goes_bad(component, value, 0.0)), self.Y0.tolist(), 0.0, 0.1)
 
 
 def _assert_same_outcome(block_outcome, scalar_run):
@@ -694,3 +709,206 @@ class TestTangentBlock:
         skew = [TangentBundle(base=np.ones(5), frame=2.0 * np.eye(5))]
         with pytest.raises(InvalidStateError):
             integrate_tangent_block(field, jacobian, skew, 0.0, 1.0, 1.0, cfg)
+
+
+def _reference_events(t0: float, t1: float, renorm_interval: float, out_stride):
+    """(event times, renorm set, sample times or None, sample set) of a tangent run.
+
+    The events are the renorm and sample times after t0, sorted; a run steps
+    exactly onto each one.
+    """
+    renorm_times = _output_times(t0, t1, renorm_interval)[1:]
+    sample_times = _output_times(t0, t1, out_stride) if out_stride else None
+    renorm_set = set(renorm_times.tolist())
+    sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
+    return sorted(renorm_set | sample_set), renorm_set, sample_times, sample_set
+
+
+def _reference_table(t0, t1, renorm_interval, out_stride):
+    """The block's event table as its set-based loop filled it: (stops,
+    sample slots, renorm slots, samples before, renorms before, renorm
+    times, intervals)."""
+    events, renorm_set, sample_times, sample_set = _reference_events(
+        t0, t1, renorm_interval, out_stride
+    )
+    n_ev = len(events)
+    n_samples = 0 if sample_times is None else sample_times.size
+    sample_slot = np.full(n_ev, n_samples)
+    renorm_slot = np.full(n_ev, -1)
+    samples_before = np.ones(n_ev + 1, dtype=int)
+    renorms_before = np.zeros(n_ev + 1, dtype=int)
+    renorm_times, intervals = [], []
+    for k, te in enumerate(events):
+        samples_before[k + 1] = samples_before[k]
+        if te in sample_set:
+            sample_slot[k] = samples_before[k]
+            samples_before[k + 1] += 1
+        renorms_before[k + 1] = len(renorm_times)
+        if te in renorm_set:
+            renorm_slot[k] = len(renorm_times)
+            intervals.append(te - (renorm_times[-1] if renorm_times else t0))
+            renorm_times.append(te)
+            renorms_before[k + 1] += 1
+    return (
+        np.array(events), sample_slot, renorm_slot, samples_before, renorms_before,
+        np.array(renorm_times), np.array(intervals),
+    )
+
+
+def _reference_run(stepper, t0, t1, renorm_interval, out_stride, d):
+    """The event loop of a tangent run as list appends over the reference
+    events, with a closure for the (partial) results."""
+    event_times, renorm_set, sample_times, sample_set = _reference_events(
+        t0, t1, renorm_interval, out_stride
+    )
+    log_times, log_dts, log_rows = [], [], []
+    samples = [np.array(stepper.y[:d])] if sample_times is not None else None
+    last_renorm_t = t0
+
+    def _partial_results():
+        log = RenormLog(
+            np.array(log_times), np.array(log_dts), np.array(log_rows).reshape(len(log_rows), d)
+        )
+        traj = None
+        if samples is not None and len(samples) > 0:
+            n = len(samples)
+            traj = Trajectory(
+                times=sample_times[:n],
+                states=np.array(samples),
+                dimension=d,
+                steps_taken=stepper.steps_taken,
+                steps_rejected=stepper.steps_rejected,
+            )
+        return log, traj
+
+    try:
+        for te in event_times:
+            stepper.step_to(te)
+            if te in sample_set:
+                samples.append(stepper.y[:d])
+            if te in renorm_set:
+                frame = np.array(stepper.y[d:]).reshape(d, d)
+                q, stretches = _orthonormalize(frame)
+                if np.any(stretches == 0.0):
+                    raise BlowUpError(
+                        f"tangent frame degenerated at t = {te!r}",
+                        t=te,
+                        last_state=np.array(stepper.y[:d]),
+                    )
+                log_times.append(te)
+                log_dts.append(te - last_renorm_t)
+                log_rows.append(np.log(stretches))
+                last_renorm_t = te
+                stepper.y = stepper.y[:d] + q.ravel().tolist()
+                stepper.refresh_derivative()
+    except IntegrationError as exc:
+        exc.partial_log, exc.partial_traj = _partial_results()
+        raise
+
+    return _partial_results()
+
+
+class _ScriptedStepper:
+    """Jumps onto each stop it is sent to with a state and frame that depend
+    on the stop; its step budget runs out at call `fail_at`, and its frame
+    is zero from call `zero_at` on."""
+
+    def __init__(self, d, fail_at=-1, zero_at=-1):
+        self.d, self.fail_at, self.zero_at = d, fail_at, zero_at
+        self.m = np.random.default_rng(d).normal(size=(d, d))
+        self.y = [0.5] * d + np.eye(d).ravel().tolist()
+        self.calls = self.steps_taken = self.steps_rejected = 0
+
+    def step_to(self, te):
+        if self.calls == self.fail_at:
+            raise StepBudgetError(f"scripted at t = {te!r}", t=te, last_state=np.array(self.y))
+        frame = np.array(self.y[self.d :]).reshape(self.d, self.d) @ ((1.0 + te) * self.m)
+        if self.calls >= self.zero_at >= 0:
+            frame[:] = 0.0
+        self.y = [te * (i + 1.0) for i in range(self.d)] + frame.ravel().tolist()
+        self.calls += 1
+        self.steps_taken += 2
+        self.steps_rejected += self.calls % 2
+
+    def refresh_derivative(self):
+        pass
+
+
+def _windows(rng, n):
+    """Random (t0, t1, out_stride, renorm_interval), with and without samples."""
+    for i in range(n):
+        t0 = float(rng.choice([0.0, rng.uniform(-5.0, 5.0)]))
+        t1 = t0 + float(rng.choice([rng.uniform(0.05, 30.0), rng.integers(1, 30)]))
+        renorm = float(rng.choice([1.0, 0.5, 10.0 ** rng.uniform(-1.5, 1.2)]))
+        stride = rng.choice([None, 0.1, 0.25, renorm, 10.0 ** rng.uniform(-1.5, 0.7)])
+        yield t0, t1, None if stride is None else float(stride), renorm
+
+
+class TestEvents:
+    """The schedule of a run equals the set-based table it replaced."""
+
+    FIELDS = (
+        "times", "sample_slot", "renorm_slot", "samples_before", "renorms_before",
+        "renorm_times", "intervals",
+    )
+
+    def assert_table(self, t0, t1, stride, renorm):
+        events = _Events(t0, t1, stride, renorm)
+        want = dict(zip(self.FIELDS, _reference_table(t0, t1, renorm, stride)))
+        if stride is None:  # no samples: every stop writes the spare row
+            assert np.all(events.sample_slot == events.spare)
+            del want["sample_slot"]
+        for name, value in want.items():
+            got = getattr(events, name)
+            assert got.shape == value.shape and got.tobytes() == value.astype(got.dtype).tobytes(), name
+            assert got.dtype == value.dtype or got.dtype.kind == value.dtype.kind == "i", name
+        return events
+
+    def test_table_matches_reference(self):
+        rng = np.random.default_rng(2024)
+        for t0, t1, stride, renorm in _windows(rng, 300):
+            self.assert_table(t0, t1, stride, renorm)
+
+    def test_coincident_and_one_ulp_apart(self):
+        """Stride 0.1 and renorm 0.3 from 0: 15 * 0.1 and 5 * 0.3 are both
+        1.5, one stop that samples and renormalizes, but 3 * 0.1 lies one ulp
+        above 0.3, so both are stops, one of each kind."""
+        events = self.assert_table(0.0, 3.0, 0.1, 0.3)
+        stops = events.times.tolist()
+        k = stops.index(1.5)
+        assert events.sample_slot[k] == 15 and events.renorm_slot[k] == 4
+        k = stops.index(0.3)
+        assert stops[k + 1] == 0.30000000000000004 == np.nextafter(0.3, 1.0)
+        assert events.sample_slot[k] == events.spare and events.renorm_slot[k] == 0
+        assert events.sample_slot[k + 1] == 3 and events.renorm_slot[k + 1] == -1
+
+    def test_validates_window_and_steps(self):
+        for args in [(1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, None, 0.0)]:
+            with pytest.raises(ValueError):
+                _Events(*args)
+        assert _Events(0.0, 1.0).times.size == 0
+
+    @pytest.mark.parametrize("stride", [0.25, None])
+    def test_partial_results_match_reference(self, stride):
+        """At every stop, a step failure and a frame that degenerates leave
+        the reference's partial results; a whole run leaves its results."""
+        t0, t1, renorm, d = 0.5, 4.0, 0.7, 3
+        n_ev = _Events(t0, t1, stride, renorm).times.size
+        cases = [{}] + [{"fail_at": k} for k in range(n_ev)] + [{"zero_at": k} for k in range(n_ev)]
+        for case in cases:
+            outcomes = []
+            for run in (
+                lambda s: _run_events(s, _Events(t0, t1, stride, renorm), d),
+                lambda s: _reference_run(s, t0, t1, renorm, stride, d),
+            ):
+                try:
+                    outcomes.append(run(_ScriptedStepper(d, **case)))
+                except IntegrationError as exc:
+                    outcomes.append(exc)
+            got, want = outcomes
+            if isinstance(want, IntegrationError):
+                assert type(got) is type(want), case
+                assert (str(got), got.t) == (str(want), want.t)
+                assert got.last_state.tobytes() == want.last_state.tobytes()
+                got, want = (got.partial_log, got.partial_traj), (want.partial_log, want.partial_traj)
+            _assert_same_results((None,) + tuple(got), (None,) + tuple(want))
