@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import (
     ScanSettings,
+    _check_window,
     equilibrium_stability,
     lyapunov_spectrum,
     parameter_scan,
@@ -39,7 +40,7 @@ from .errors import (
     NotOnLimitSetError,
     RatioInconsistencyError,
 )
-from .integrator import IntegratorConfig, integrate
+from .integrator import IntegratorConfig, _check_schedule, integrate
 from .invariants import verification_suite
 from .model import Params, equilibrium, full_system, lift, reduced_system
 from .reduction import compare_full_vs_reduced, k_drift
@@ -337,9 +338,10 @@ def cmd_simulate(cfg: dict, out_override: str | None) -> int:
     icfg = _integrator_config(cfg)
     y0, kind = resolve_initial_state(cfg)
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
-    directory = _out_dir(cfg, out_override)
     t_total = cfg["times"]["t_total"]
     stride = cfg["times"]["out_stride"]
+    _check_schedule(0.0, t_total, stride)
+    directory = _out_dir(cfg, out_override)
     try:
         traj = integrate(system.field, y0, 0.0, t_total, stride, icfg)
     except IntegrationError as exc:
@@ -383,9 +385,10 @@ def cmd_reduce(cfg: dict, out_override: str | None) -> int:
     y0, kind = resolve_initial_state(cfg)
     if kind != "full":
         y0 = lift(y0, kind[1])
-    directory = _out_dir(cfg, out_override)
     t_total = cfg["times"]["t_total"]
     stride = cfg["times"]["out_stride"]
+    _check_schedule(0.0, t_total, stride)
+    directory = _out_dir(cfg, out_override)
     zero_tol = cfg["reduce"]["zero_tol"]
     try:
         comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
@@ -418,15 +421,12 @@ def cmd_lyapunov(cfg: dict, out_override: str | None) -> int:
     icfg = _integrator_config(cfg)
     y0, kind = resolve_initial_state(cfg)
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
+    t_transient, t_total = cfg["times"]["t_transient"], cfg["times"]["t_total"]
+    renorm_interval = cfg["lyapunov"]["renorm_interval"]
+    _check_window(t_transient, t_total)
+    _check_schedule(t_transient, t_total, renorm_interval=renorm_interval)
     directory = _out_dir(cfg, out_override)
-    report = lyapunov_spectrum(
-        system,
-        y0,
-        cfg["times"]["t_transient"],
-        cfg["times"]["t_total"],
-        cfg["lyapunov"]["renorm_interval"],
-        icfg,
-    )
+    report = lyapunov_spectrum(system, y0, t_transient, t_total, renorm_interval, icfg)
     d = system.dim
     header = ["t"] + [f"lambda{i + 1}" for i in range(d)]
     rows = (

@@ -11,22 +11,22 @@ Two methods:
 Both steppers work on Python floats: the state, the stages, the error norm
 and the step-size controller are lists and floats, because at five (or
 thirty) components numpy's per-call overhead costs more than the
-arithmetic.  They call a float kernel ``kernel(t, y: list) -> list``.  A field
+arithmetic.  They run on a float kernel ``kernel(t, y: list) -> list``.  A field
 that carries one as its ``kernel`` attribute (the callables of
-``model.full_system`` / ``model.reduced_system``) is called through it;
+``model.full_system`` / ``model.reduced_system``) is run through it;
 any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
 ``f(t, np.array(y)).ravel().tolist()``.  The kernel and the field compute the
 same formula, so both routes give bitwise-identical results.  The same holds
 for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
 tangent frame is formed from those entries by one routine either way.
 
-One attempted step (five stage states, the new state, the error norm) is a
-function generated once per dimension d and cached (`_dp54_attempt`), as
-`dataclasses` builds its methods: the components live in locals and each
-one is written out with the expression a loop over components would use, in
-the same order, so the results are those of that loop, bit for bit, without
-its lists and zips.  It calls the kernel through the contract above and
-keeps every check below inline.
+The DP54 step loop is generated once per dimension d and field formula
+(`_dp54_loop`), as `dataclasses` builds its methods: its state lives in
+locals, and each component is written out with the expression a loop over
+components would use, in the same order, so it gives that loop's bits.  The
+body of a kernel's ``formula = (fn, constants)`` (`model`'s fields) is written
+into every stage, so all systems of one formula share one loop; any other
+kernel (a user field, the adapter, the tangent kernel) is called at each.
 
 Every run follows one schedule (`_Events`, a numpy table of stops): it steps
 exactly onto each sample time and, on a tangent run, each renorm time, where
@@ -57,8 +57,11 @@ identical inputs produce bitwise-identical results on one platform.
 
 from __future__ import annotations
 
+import ast
 import functools
+import inspect
 import math
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,89 +243,158 @@ def _mismatch(f, d: int) -> DimensionMismatchError:
     return DimensionMismatchError(f"field returned {len(f)} components for a {d}-vector")
 
 
-@functools.lru_cache(maxsize=None)
-def _dp54_attempt(d: int):
-    """One DP54 attempt on d-vectors, ``attempt(kernel, t, h, y, k1, atol,
-    rtol) -> (y_new, k7, err_norm)``, generated once per d.
+def _inline_formula(formula, d: int):
+    """(constant names, source) of a straight-line field formula (see `model`),
+    or ValueError.  The source is the formula's syntax trees, so it gives the
+    bits of its call; it binds {out}0, ... to the field at the locals {local}0,
+    ..., which str.format names, and prefixes every other name with f_."""
+    (func,) = ast.parse(textwrap.dedent(inspect.getsource(formula))).body
+    a = func.args
+    y, *consts = [arg.arg for arg in a.args]
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    names = {c: "f_" + c for c in consts}
+    who = f"{formula.__qualname__} is not a straight-line field formula"
 
-    The source unpacks y and the stages into locals and writes every stage
-    state, the new state and the error terms out per component, with the
-    tableau's floats inlined, so no list is built but the ones the kernel
-    receives.  Each component is the expression a loop over components would
-    evaluate, in the same order, and the squared error terms are summed in
-    component order, so the results do not depend on d being unrolled.
-    A stage state is checked finite by its sum before the kernel sees it,
-    the new state by `_check_blowup`, and every derivative is unpacked to
-    exactly d components.
-    """
-    i_s = range(d)
-    comma = "," if d == 1 else ""
+    def arithmetic(expr):  # its source, the names renamed
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Name) and node.id in names:
+                node.id = names[node.id]
+            elif not (
+                isinstance(node, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
+                or (isinstance(node, ast.Constant) and type(node.value) in (int, float))
+            ):
+                raise ValueError(f"{who}: {ast.unparse(node)!r} is not arithmetic on earlier names")
+        return ast.unparse(expr)
+
+    def fresh(stmt, kind):  # the new names an assignment to one `kind` binds
+        target = stmt.targets[0] if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 else None
+        new = target.elts if isinstance(target, ast.Tuple) else [target]
+        if not (isinstance(target, kind) and all(isinstance(n, ast.Name) and n.id not in names for n in new)):
+            raise ValueError(f"{who}: {ast.unparse(stmt)!r} is not an assignment to new names")
+        return [n.id for n in new]
+
+    if func.decorator_list or a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
+        raise ValueError(f"{who}: it must take the state and the constants as plain arguments")
+    if not (len(body) > 1 and isinstance(body[0], ast.Assign) and ast.unparse(body[0].value) == y):
+        raise ValueError(f"{who}: its first statement must unpack {y}")
+    state = fresh(body[0], ast.Tuple)
+    names.update((name, "{local}%d" % i) for i, name in enumerate(state))
+    lines = []
+    for stmt in body[1:-1]:
+        (name,) = fresh(stmt, ast.Name)
+        lines.append(f"f_{name} = {arithmetic(stmt.value)}")
+        names[name] = "f_" + name
+    ret = body[-1]
+    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.List)):
+        raise ValueError(f"{who}: its last statement must return a list")
+    if not len(state) == len(ret.value.elts) == d:
+        raise ValueError(f"{who}: it must unpack and return {d} components")
+    lines += [f"{{out}}{i} = {arithmetic(e)}" for i, e in enumerate(ret.value.elts)]
+    return consts, "\n".join(lines)
+
+
+_LOOP = """\
+def step_to(self, t_target):
+    cfg, kernel{consts} = self.cfg, self.kernel, *self.consts
+    atol, rtol, h_min, h_max, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.h_max, cfg.max_steps
+    snap = 1e-13 * max(1.0, abs(t_target))
+    t, h_prop, taken, rejected = self.t, self.h_prop, self.steps_taken, self.steps_rejected
+    {y} = self.y
+    stale = len(self.k1) != {d}  # a refreshed derivative of the wrong length
+    {k1} = ({y}) if stale else self.k1
+    try:
+        while t_target - t > snap:
+            if taken + rejected >= max_steps:
+                msg = f"max_steps = {{max_steps}} exhausted at t = {{t!r}}"
+                raise StepBudgetError(msg, t=t, last_state=np.array([{y}]))
+            if stale:
+                raise _mismatch(self.k1, {d})
+            capped = h_prop >= t_target - t
+            h = t_target - t if capped else h_prop
+{attempt}
+            if err <= 1.0:
+                t = t_target if abs(tn - t_target) <= snap else tn
+                {y} = {w}
+                {k1} = {k7}
+                taken += 1
+                if not capped:  # _controller_factor's expression for a finite err <= 1
+                    fac = {fmax!r} if err == 0.0 else {safety!r} * err**-0.2
+                    h_prop = h * (fac if fac < {fmax!r} else {fmax!r})
+                    h_prop = h_prop if h_prop <= h_max else h_max
+            else:
+                rejected += 1
+                h_prop = min(h * _controller_factor(err), h_max)
+                if h_prop < h_min:
+                    msg = f"step size fell below h_min = {{h_min!r}} at t = {{t!r}}"
+                    raise StiffnessError(msg, t=t, last_state=np.array([{y}]))
+        t = t_target
+    finally:
+        self.t, self.h_prop, self.steps_taken, self.steps_rejected = t, h_prop, taken, rejected
+        self.y, self.k1 = [{y}], self.k1 if stale else [{k1}]
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _dp54_loop(d: int, formula):
+    """`_LOOP` on d-vectors for a field formula (None: call the kernel), its
+    attempt written out per component with the tableau's floats inlined and
+    the squared error terms summed in component order."""
+
+    def each(fmt, sep="\n"):
+        return sep.join(fmt.format(i=i) for i in range(d))
 
     def row(name):
-        return ", ".join(f"{name}{i}" for i in i_s) + comma
+        return ", ".join(f"{name}{i}" for i in range(d)) + ("," if d == 1 else "")
 
-    def combo(weights, i):
-        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in weights)
+    def combo(weights):
+        return " + ".join(f"{w!r} * k{s}_{{i}}" for s, w in weights)
 
-    def unpack(s, f):
-        return [
-            "    try:",
-            f"        {row(f'k{s}_')} = {f}",
-            "    except ValueError:",
-            f"        raise _mismatch({f}, {d}) from None",
-        ]
+    call = f"f = kernel({{ts}}, [{row('{local}')}])\ntry:\n    {row('{out}')} = f\n"
+    call += f"except ValueError:\n    raise _mismatch(f, {d}) from None"
+    consts, field = _inline_formula(formula, d) if formula else ([], call)
 
-    lines = ["def attempt(kernel, t, h, y, k1, atol, rtol):", f"    {row('y_')} = y"]
-    lines += unpack(1, "k1")
+    last_state = f"last_state=np.array([{row('y_')}])"
+    attempt = []
     for s, (c, weights) in enumerate(_STAGES, start=2):
-        lines.append(f"    ts = t + {c!r} * h" if c != 1.0 else "    ts = t + h")
-        lines += [f"    z{i} = y_{i} + h * ({combo(weights, i)})" for i in i_s]
-        lines += [
-            f"    s = {' + '.join(f'z{i}' for i in i_s)}",
-            "    if not s - s == 0.0:",
-            "        raise BlowUpError(",
-            '            f"non-finite state during step at t = {ts!r}", t=ts, last_state=np.array(y)',
-            "        )",
-            f"    f = kernel(ts, [{row('z')}])",
+        attempt += [
+            f"ts = t + {c!r} * h" if c != 1.0 else "ts = t + h",
+            each(f"z{{i}} = y_{{i}} + h * ({combo(weights)})"),
+            f"s = {each('z{i}', ' + ')}\nif not s - s == 0.0:",
+            f'    raise BlowUpError(f"non-finite state during step at t = {{ts!r}}", t=ts, {last_state})',
+            field.format(ts="ts", local="z", out=f"k{s}_"),
         ]
-        lines += unpack(s, "f")
-    lines += [f"    w{i} = y_{i} + h * ({combo(_WEIGHTS, i)})" for i in i_s]
-    lines += [
-        f"    y_new = [{row('w')}]",
-        "    _check_blowup(y_new, t + h)",
-        "    k7 = kernel(t + h, y_new)",
+    bound = repr(BLOWUP_THRESHOLD)
+    attempt += [
+        each(f"w{{i}} = y_{{i}} + h * ({combo(_WEIGHTS)})"),
+        f"tn = t + h\ns = {each('w{i}', ' + ')}",
+        f"if not (s - s == 0.0 and {each(f'-{bound} <= w{{i}} <= {bound}', ' and ')}):",
+        f'    raise BlowUpError(f"solution blew up at t = {{tn!r}}", t=tn, last_state=np.array([{row("w")}]))',
+        field.format(ts="tn", local="w", out="k7_"),
+        each(f"u, v = abs(y_{{i}}), abs(w{{i}})\n"
+             f"r{{i}} = h * ({combo(_ERROR_WEIGHTS)}) / (atol + rtol * (u if u > v else v))"),
+        f"err = math.sqrt(({each('r{i} * r{i}', ' + ')}) / {d})",
     ]
-    lines += unpack(7, "k7")
-    for i in i_s:
-        lines += [
-            f"    u, v = abs(y_{i}), abs(w{i})",
-            f"    r{i} = h * ({combo(_ERROR_WEIGHTS, i)}) / (atol + rtol * (u if u > v else v))",
-        ]
-    sq = " + ".join(f"r{i} * r{i}" for i in i_s)
-    lines.append(f"    return y_new, k7, _sqrt(({sq}) / {d})")
-    namespace = {
-        "np": np,
-        "_sqrt": math.sqrt,
-        "BlowUpError": BlowUpError,
-        "_check_blowup": _check_blowup,
-        "_mismatch": _mismatch,
-    }
-    exec(compile("\n".join(lines), f"<DP54 attempt, d = {d}>", "exec"), namespace)
-    return namespace["attempt"]
+    source = _LOOP.format(
+        d=d, y=row("y_"), k1=row("k1_"), w=row("w"), k7=row("k7_"), fmax=_FACTOR_MAX, safety=_SAFETY,
+        consts="".join(f", f_{c}" for c in consts),
+        attempt=textwrap.indent("\n".join(attempt), " " * 12),
+    )
+    route = formula.__qualname__ if formula else "kernel calls"
+    exec(compile(source, f"<DP54 step loop, d = {d}, {route}>", "exec"), globals(), loop := {})
+    return loop["step_to"]
 
 
 class _Dp54Stepper:
-    """Adaptive stepper advancing one solution on floats; holds FSAL cache and counters."""
+    """Adaptive stepper on floats, stepped by the loop of its d and formula."""
 
     def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
         self.kernel = kernel
         self.cfg = cfg
         self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
         self.y = y0
-        self.k1 = kernel(self.t, y0)
-        if len(self.k1) != len(y0):
-            raise _mismatch(self.k1, len(y0))
-        self.attempt = _dp54_attempt(len(y0))
+        self.k1 = kernel(self.t, y0)  # of the wrong length, the first attempt raises
+        formula, self.consts = getattr(kernel, "formula", (None, ()))
+        self.loop = _dp54_loop(len(y0), formula)
         self.h_prop = min(cfg.h_init, cfg.h_max)
         self.steps_taken = 0
         self.steps_rejected = 0
@@ -332,43 +404,7 @@ class _Dp54Stepper:
         self.k1 = self.kernel(self.t, self.y)
 
     def step_to(self, t_target: float):
-        cfg = self.cfg
-        atol, rtol = cfg.abs_tol, cfg.rel_tol
-        attempt, kernel = self.attempt, self.kernel
-        snap = 1e-13 * max(1.0, abs(t_target))
-        while t_target - self.t > snap:
-            if self.steps_taken + self.steps_rejected >= cfg.max_steps:
-                raise StepBudgetError(
-                    f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}",
-                    t=self.t,
-                    last_state=np.array(self.y),
-                )
-            remaining = t_target - self.t
-            capped = self.h_prop >= remaining
-            h = remaining if capped else self.h_prop
-
-            t = self.t
-            y_new, k7, err_norm = attempt(kernel, t, h, self.y, self.k1, atol, rtol)
-            if err_norm <= 1.0:
-                t_new = t + h
-                if abs(t_new - t_target) <= snap:
-                    t_new = t_target
-                self.t = t_new
-                self.y = y_new
-                self.k1 = k7
-                self.steps_taken += 1
-                if not capped:
-                    self.h_prop = min(h * _controller_factor(err_norm), cfg.h_max)
-            else:
-                self.steps_rejected += 1
-                self.h_prop = min(h * _controller_factor(err_norm), cfg.h_max)
-                if self.h_prop < cfg.h_min:
-                    raise StiffnessError(
-                        f"step size fell below h_min = {cfg.h_min!r} at t = {self.t!r}",
-                        t=self.t,
-                        last_state=np.array(self.y),
-                    )
-        self.t = t_target
+        self.loop(self, t_target)
 
 
 def _controller_factor(err_norm: float) -> float:

@@ -32,7 +32,11 @@ identical subexpressions (several identity checks compare them at round-off
 level).  The public functions take float64 numpy vectors and raise
 InvalidStateError on non-finite input.  Each formula is written once, as an
 unvalidated float kernel; the public functions validate and call it, and the
-systems built by `full_system` / `reduced_system` hand it to the integrator.
+systems built by `full_system` / `reduced_system` hand it to the integrator,
+which writes the field kernels' bodies into its step loop.  So those are
+straight-line: one statement unpacks the state, each next one assigns
+arithmetic on earlier names and number literals to a new name, and the last
+returns a list of such expressions; the constants follow the state.
 """
 
 from __future__ import annotations
@@ -310,7 +314,9 @@ class DynamicalSystem:
     ones built by `full_system` and `reduced_system` also carry a `kernel`
     attribute: the same formula on a list of floats, unvalidated, returning
     a list (the Jacobian's d*d entries row-major).  The integrator calls a
-    kernel directly when there is one.
+    kernel directly when there is one.  The field's kernel also carries
+    ``formula = (fn, constants)``, the function it calls with the state and
+    those constants, which the integrator writes into its step loop.
     """
 
     field: Callable[[float, np.ndarray], np.ndarray]
@@ -318,8 +324,13 @@ class DynamicalSystem:
     dim: int
 
 
-def _kernel_system(field_kernel, jacobian_kernel, dim: int) -> DynamicalSystem:
-    """Validated array callables around two float kernels."""
+def _kernel_system(formula, jacobian_kernel, dim: int) -> DynamicalSystem:
+    """Validated array callables around a field formula (fn, constants),
+    called as fn(y, *constants), and a Jacobian kernel."""
+    fn, constants = formula
+
+    def field_kernel(t, y):
+        return fn(y, *constants)
 
     def field(t, y):
         return np.array(field_kernel(t, _as_state(y, dim)))
@@ -327,6 +338,7 @@ def _kernel_system(field_kernel, jacobian_kernel, dim: int) -> DynamicalSystem:
     def jacobian(t, y):
         return np.array(jacobian_kernel(t, _as_state(y, dim))).reshape(dim, dim)
 
+    field_kernel.formula = formula
     field.kernel = field_kernel
     jacobian.kernel = jacobian_kernel
     return DynamicalSystem(field=field, jacobian=jacobian, dim=dim)
@@ -335,22 +347,14 @@ def _kernel_system(field_kernel, jacobian_kernel, dim: int) -> DynamicalSystem:
 def full_system(p: Params) -> DynamicalSystem:
     """The full 5-D system packaged for the integrator."""
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system(
-        lambda t, y: _full_rhs(y, C, D, E, F),
-        lambda t, y: _full_jac(y, C, D, E),
-        5,
-    )
+    return _kernel_system((_full_rhs, (C, D, E, F)), lambda t, y: _full_jac(y, C, D, E), 5)
 
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
     """The reduced 3-D system on the K-plane, packaged for the integrator."""
     _check_k(K)
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system(
-        lambda t, z: _reduced_rhs(z, K, C, D, E, F),
-        lambda t, z: _reduced_jac(z, K, C, D, E),
-        3,
-    )
+    return _kernel_system((_reduced_rhs, (K, C, D, E, F)), lambda t, z: _reduced_jac(z, K, C, D, E), 3)
 
 
 def column_kernels(p: Params, name: str, values):

@@ -355,3 +355,38 @@ class TestEquilibriumCmd:
     def test_E_zero_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"params": {"C": -1.0, "D": 1.0, "E": 0.0, "F": 0.0}})
         assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+STRIDE = "out_stride must be positive"
+WINDOW = "require t_total > t_transient"
+
+
+@pytest.mark.parametrize(
+    "command, times, lyapunov, message",
+    [
+        pytest.param("simulate", {"out_stride": 0.0}, {}, STRIDE, id="simulate-stride=0"),
+        pytest.param("simulate", {"out_stride": -1.0}, {}, STRIDE, id="simulate-stride=-1"),
+        pytest.param("reduce", {"out_stride": 0.0}, {}, STRIDE, id="reduce-stride=0"),
+        pytest.param("lyapunov", {"t_transient": 5.0}, {}, WINDOW, id="lyapunov-transient=total"),
+        pytest.param("lyapunov", {"t_transient": 8.0}, {}, WINDOW, id="lyapunov-transient>total"),
+        pytest.param(
+            "lyapunov", {}, {"renorm_interval": 0.0}, "renorm_interval must be positive",
+            id="lyapunov-renorm=0",
+        ),
+    ],
+)
+def test_rejected_times_create_no_directory(tmp_path, capsys, command, times, lyapunov, message):
+    """simulate, reduce and lyapunov check the times they use before the
+    output directory is made, as scan does."""
+    cfg = write_config(
+        tmp_path,
+        {
+            "initial_state": {"reduced": [0.5, 0.2, 0.0], "K": -1.0},
+            "times": {"t_transient": 0.0, "t_total": 5.0, "out_stride": 0.5, **times},
+            "lyapunov": lyapunov,
+        },
+    )
+    out = tmp_path / "never"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"dynlab: invalid config: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,10 +5,15 @@ bilinear exponential law) and the RK4 update polynomial.
 """
 
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dynlab
 from dynlab.errors import (
     BlowUpError,
     DimensionMismatchError,
@@ -20,24 +25,38 @@ from dynlab.errors import (
 from dynlab.integrator import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
     _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
+    _FACTOR_MIN,
+    _SAFETY,
     IntegratorConfig,
     RenormLog,
     TangentBundle,
     Trajectory,
-    _Events,
     _check_blowup,
-    _dp54_attempt,
+    _controller_factor,
+    _Dp54Stepper,
+    _dp54_loop,
+    _Events,
     _finite,
     _float_kernel,
+    _inline_formula,
+    _mismatch,
     _orthonormalize,
     _output_times,
     _rk4_step,
     _run_events,
+    _tangent_kernel,
     integrate,
     integrate_tangent_block,
     integrate_with_tangents,
 )
-from dynlab.model import Params, column_kernels, full_system, reduced_system
+from dynlab.model import (
+    Params,
+    _full_rhs,
+    _reduced_rhs,
+    column_kernels,
+    full_system,
+    reduced_system,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -410,9 +429,71 @@ def _reference_attempt(kernel, t, h, y, k1, atol, rtol):
     return y_new, k7, err_norm
 
 
+class _ReferenceStepper:
+    """The DP54 stepper as the hand-written loop around one attempt per step
+    (`_reference_attempt`): the reference that the generated loop must match
+    bit for bit."""
+
+    def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
+        self.kernel = kernel
+        self.cfg = cfg
+        self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
+        self.y = y0
+        self.k1 = kernel(self.t, y0)
+        if len(self.k1) != len(y0):
+            raise _mismatch(self.k1, len(y0))
+        self.attempt = _reference_attempt
+        self.h_prop = min(cfg.h_init, cfg.h_max)
+        self.steps_taken = 0
+        self.steps_rejected = 0
+
+    def refresh_derivative(self):
+        """Recompute the cached derivative after the state was replaced."""
+        self.k1 = self.kernel(self.t, self.y)
+
+    def step_to(self, t_target: float):
+        cfg = self.cfg
+        atol, rtol = cfg.abs_tol, cfg.rel_tol
+        attempt, kernel = self.attempt, self.kernel
+        snap = 1e-13 * max(1.0, abs(t_target))
+        while t_target - self.t > snap:
+            if self.steps_taken + self.steps_rejected >= cfg.max_steps:
+                raise StepBudgetError(
+                    f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}",
+                    t=self.t,
+                    last_state=np.array(self.y),
+                )
+            remaining = t_target - self.t
+            capped = self.h_prop >= remaining
+            h = remaining if capped else self.h_prop
+
+            t = self.t
+            y_new, k7, err_norm = attempt(kernel, t, h, self.y, self.k1, atol, rtol)
+            if err_norm <= 1.0:
+                t_new = t + h
+                if abs(t_new - t_target) <= snap:
+                    t_new = t_target
+                self.t = t_new
+                self.y = y_new
+                self.k1 = k7
+                self.steps_taken += 1
+                if not capped:
+                    self.h_prop = min(h * _controller_factor(err_norm), cfg.h_max)
+            else:
+                self.steps_rejected += 1
+                self.h_prop = min(h * _controller_factor(err_norm), cfg.h_max)
+                if self.h_prop < cfg.h_min:
+                    raise StiffnessError(
+                        f"step size fell below h_min = {cfg.h_min!r} at t = {self.t!r}",
+                        t=self.t,
+                        last_state=np.array(self.y),
+                    )
+        self.t = t_target
+
+
 def _coupled_kernel(d, rng):
-    """A nonlinear, time-dependent float kernel on d-vectors."""
-    m = rng.normal(size=(d, d)).tolist()
+    """A nonlinear, time-dependent, contracting float kernel on d-vectors."""
+    m = (rng.normal(size=(d, d)) / math.sqrt(d) - 2.5 * np.eye(d)).tolist()
 
     def kernel(t, y):
         return [
@@ -423,57 +504,301 @@ def _coupled_kernel(d, rng):
     return kernel
 
 
+def _logistic_rhs(y, a, b):
+    """A 1-D straight-line formula."""
+    (x,) = y
+    return [a * x - b * x * x]
+
+
+def _duffing_rhs(y, a, b):
+    """A 2-D straight-line formula whose locals share names with the loop's."""
+    x, v = y
+    h = a + b * x * x
+    s = h * x
+    return [v, -s - 0.1 * v]
+
+
+def _bad_calls(y, a):
+    x, v = y
+    return [v, math.sin(a * x)]
+
+
+def _bad_branches(y, a):
+    x, v = y
+    if x > 0.0:
+        v = -v
+    return [v, -a * x]
+
+
+def _bad_ternary(y, a):
+    x, v = y
+    return [v, -a * x if x > 0.0 else a * x]
+
+
+def _bad_rebinds(y, a):
+    x, v = y
+    x = a * x
+    return [v, -x]
+
+
+def _bad_indexes(y, a):
+    x = y[0]
+    return [y[1], -a * x]
+
+
+def _bad_tuple(y, a):
+    x, v = y
+    return v, -a * x
+
+
+def _bad_augments(y, a):
+    x, v = y
+    g = a * x
+    g += 1.0
+    return [v, -g]
+
+
+def _formula_kernel(fn, *consts):
+    """A float kernel that carries its straight-line formula."""
+
+    def kernel(t, y):
+        return fn(y, *consts)
+
+    kernel.formula = (fn, consts)
+    return kernel
+
+
+def _random_params(rng):
+    """Constants of a norm-contracting system (C < -2, E < 0)."""
+    return Params(*(float(v) for v in rng.uniform([-3.0, -1.5, -1.0, -0.5], [-2.1, 1.5, -0.1, 0.5])))
+
+
+def _kernels(d, rng):
+    """(name, kernel, y0) for d: a coupled kernel called at every stage, and
+    the kernels with a formula that d has (the model's, the test formulas')
+    and, at d = 30, the tangent kernel of the full system."""
+    y0 = (rng.normal(size=d) * 10.0 ** rng.uniform(-2.0, 0.3, size=d)).tolist()
+    out = [("call", _coupled_kernel(d, rng), y0)]
+    p = _random_params(rng)
+    if d == 1:
+        out.append(("inline-logistic", _formula_kernel(_logistic_rhs, 1.3, 0.7), [0.2]))
+    if d == 2:
+        out.append(("inline-duffing", _formula_kernel(_duffing_rhs, -1.0, 1.0), [0.9, -0.3]))
+    if d == 3:
+        kernel = reduced_system(p, float(rng.uniform(-1.5, 1.5))).field.kernel
+        out.append(("inline-reduced", kernel, rng.uniform(-1.0, 1.0, 3).tolist()))
+    if d == 5:
+        out.append(("inline-full", full_system(p).field.kernel, rng.uniform(-1.0, 1.0, 5).tolist()))
+    if d == 30:
+        system = full_system(Params(C=-1.0, D=-1.0, E=-0.5, F=0.0))
+        aug = _tangent_kernel(system.field.kernel, system.jacobian.kernel, 5)
+        out.append(("tangent", aug, rng.uniform(-1.0, 1.0, 5).tolist() + np.eye(5).ravel().tolist()))
+    return out
+
+
+def _stepper_state(stepper):
+    """t, y, k1, h_prop and the counters, as exact bytes."""
+    floats = [stepper.t, stepper.h_prop] + list(stepper.y) + list(stepper.k1)
+    return np.array(floats).tobytes(), stepper.steps_taken, stepper.steps_rejected
+
+
+def _outcome(run):
+    """(error type or "done", message, time, last state, (None, log,
+    trajectory)) of a `_run_events` run: its results, or the error it raised
+    with its partial results."""
+    try:
+        return ("done", None, None, None, (None,) + run())
+    except IntegrationError as exc:
+        partial = (None, exc.partial_log, exc.partial_traj)
+        return type(exc), str(exc), exc.t, exc.last_state.tobytes(), partial
+
+
+def _assert_same_run(got, want):
+    assert got[:4] == want[:4]
+    _assert_same_results(got[4], want[4])
+
+
 class TestGeneratedAttempt:
-    """The attempt generated per dimension equals the list-comprehension
-    reference bit for bit."""
+    """The DP54 step loop generated per dimension and field formula equals the
+    hand-written loop around the list-comprehension attempt bit for bit, on
+    both routes: a formula written inline and a kernel called at each stage."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 12, 30])
     def test_matches_reference(self, d):
+        """Over random stops, some a snap apart, and a state replaced every
+        fourth stop, every stop leaves equal t, y, k1, h_prop and counters;
+        steps are rejected (some with err_norm past the factor clamp) and
+        capped onto stops."""
         rng = np.random.default_rng(d)
-        kernel = _coupled_kernel(d, rng)
-        attempt = _dp54_attempt(d)
-        verdicts = set()
-        for _ in range(150):
-            t = float(rng.uniform(-5.0, 5.0))
-            y = (rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 1.0, size=d)).tolist()
-            h = float(10.0 ** rng.uniform(-4.0, -0.5))
-            args = (kernel, t, h, y, kernel(t, y), 1e-8, 1e-6)
-            got, want = attempt(*args), _reference_attempt(*args)
-            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
-            assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
-            assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
-            verdicts.add(want[2] <= 1.0)
-        assert verdicts == {True, False}  # accepted and rejected steps
+        for name, kernel, y0 in _kernels(d, rng):
+            gaps = 10.0 ** rng.uniform(-2.0, 0.3, 40)
+            gaps[0], gaps[1::7] = 2.5, 1e-14  # a long first step; stops within a snap
+            stops = np.cumsum(gaps).tolist()
+            cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10, h_init=0.8, h_max=0.8)
+            new = _Dp54Stepper(kernel, 0.0, list(y0), cfg)
+            ref = _ReferenceStepper(kernel, 0.0, list(y0), cfg)
+            assert new.loop is _dp54_loop(d, getattr(kernel, "formula", (None,))[0])
+            errors, reached = [], 0
+
+            def recorded(*args):
+                out = _reference_attempt(*args)
+                errors.append(out[2])
+                return out
+
+            ref.attempt = recorded
+            for k, te in enumerate(stops):
+                before = ref.steps_taken
+                for stepper in (new, ref):
+                    stepper.step_to(te)
+                    if k % 4 == 3:
+                        stepper.y = [0.9 * v for v in stepper.y]
+                        stepper.refresh_derivative()
+                reached += ref.steps_taken > before  # the last step onto a stop is capped
+                assert _stepper_state(new) == _stepper_state(ref), (name, k)
+            assert min(errors) <= 1.0 < max(errors), name
+            assert max(errors) > (_SAFETY / _FACTOR_MIN) ** 5, name  # the factor clamps at 0.2
+            assert reached > 0, name
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_blow_up_matches_reference(self, d):
-        """A stage state that overflows and a new state past 1e12 raise the
-        reference's BlowUpError, with its message, time and last state."""
-        kernels = {
-            "non-finite state during step at t = 1.075": (
-                lambda t, y: [1e200 * (1.0 + u * u) for u in y]
-            ),
-            "solution blew up at t = 1.25": lambda t, y: [1e13 for u in y],
+        """StepBudgetError, StiffnessError, a non-finite stage state, a new
+        state past 1e12 (and one exactly at 1e12, which is fine) end both
+        loops alike: error type, message, time, last state and partial
+        results."""
+        p = Params(C=0.5, D=1.0, E=0.2, F=0.1)
+        model = {3: reduced_system(p, 0.7).field.kernel, 5: full_system(p).field.kernel}
+        formula = model.get(d, _formula_kernel(_logistic_rhs, 1.3, 0.7))
+        top = 1e12
+        past = float(np.nextafter(top, 2 * top))  # one ulp past the threshold
+        stiff = {"h_init": 0.5, "h_min": 0.4, "h_max": 1.0}  # the first rejection goes below h_min
+        cases = [
+            ("budget", formula, [0.3] * d, IntegratorConfig(max_steps=7)),
+            ("stiff", formula, [0.3] * d, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14, **stiff)),
+            ("stage", formula, [1e100] * d, IntegratorConfig()),
+            ("grows", formula, [1e5] * d, IntegratorConfig(h_max=1e-3)),
+            ("stage", lambda t, y: [1e200 * (1.0 + u * u) for u in y], [0.5] * d, IntegratorConfig()),
+            ("past", lambda t, y: [1e13 for u in y], [0.5] * d, IntegratorConfig(h_init=0.2, h_max=0.2)),
+            ("at", _formula_kernel(_logistic_rhs, 0.0, 0.0), [top], IntegratorConfig()),
+            ("at", lambda t, y: [0.0] * d, [-top] * d, IntegratorConfig()),
+            ("ulp", lambda t, y: [0.0] * d, [0.5] * (d - 1) + [past], IntegratorConfig()),
+            ("ulp", _formula_kernel(_logistic_rhs, 0.0, 0.0), [-past], IntegratorConfig()),
+        ]
+        kinds = set()
+        for name, kernel, y0, cfg in cases:
+            if len(y0) != d:
+                continue
+            events = _Events(0.0, 2.0, 0.25)
+            runs = [
+                _outcome(lambda: _run_events(stepper(kernel, 0.0, list(y0), cfg), events, d))
+                for stepper in (_Dp54Stepper, _ReferenceStepper)
+            ]
+            _assert_same_run(*runs)
+            kinds.add((name, runs[1][0]))
+
+        # A refreshed derivative of the wrong length raises at the next
+        # attempt, as the unpacking of the attempt did: not on a stop within
+        # the snap, where no step is taken.
+        def shrinks(t, y):
+            return [-u for u in y][: d - 1 if shrinks.short else d]
+
+        shrinks.short = False
+        stepper = _Dp54Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig())
+        stepper.step_to(1.0)
+        shrinks.short = True
+        stepper.refresh_derivative()
+        stepper.step_to(1.0 + 1e-14)
+        assert (stepper.t, len(stepper.k1)) == (1.0 + 1e-14, d - 1)
+        message = f"returned {d - 1} components for a {d}-vector"
+        with pytest.raises(DimensionMismatchError, match=message):
+            stepper.step_to(2.0)
+        assert stepper.t == 1.0 + 1e-14 and stepper.steps_taken > 0
+        assert kinds >= {
+            ("budget", StepBudgetError), ("stiff", StiffnessError), ("stage", BlowUpError),
+            ("past", BlowUpError), ("at", "done"), ("ulp", BlowUpError),
         }
-        for message, kernel in kernels.items():
-            y = [0.5 + 0.1 * i for i in range(d)]
-            args = (kernel, 1.0, 0.25, y, kernel(1.0, y), 1e-8, 1e-8)
-            errors = []
-            for run in (_dp54_attempt(d), _reference_attempt):
-                with pytest.raises(BlowUpError, match=message) as info:
-                    run(*args)
-                errors.append(info.value)
-            got, want = errors
-            assert (str(got), got.t) == (str(want), want.t)
-            assert got.last_state.tobytes() == want.last_state.tobytes()
 
     def test_generated_once_per_dimension(self):
-        attempt = _dp54_attempt(4)
-        misses = _dp54_attempt.cache_info().misses
-        for _ in range(2):
-            integrate(decay, np.ones(4), 0.0, 1.0, 0.5, IntegratorConfig())
-        assert _dp54_attempt.cache_info().misses == misses
-        assert _dp54_attempt(4) is attempt
+        """One loop per (d, formula) per process, shared by every system of a
+        formula whatever its constants; none is generated at import."""
+        rng = np.random.default_rng(4)
+        _dp54_loop.cache_clear()
+        systems = [full_system(_random_params(rng)) for _ in range(3)]
+        loops = {
+            _Dp54Stepper(s.field.kernel, 0.0, [0.1] * 5, IntegratorConfig()).loop for s in systems
+        }
+        for s in systems:
+            integrate(s.field, np.full(5, 0.1), 0.0, 1.0, 0.5, IntegratorConfig())
+        assert loops == {_dp54_loop(5, _full_rhs)}
+        assert _dp54_loop.cache_info().misses == 1
+        assert len({_dp54_loop(5, None), _dp54_loop(3, _reduced_rhs), _dp54_loop(5, _full_rhs)}) == 3
+        assert _dp54_loop.cache_info().misses == 3
+        code = "import dynlab, dynlab.cli; print(dynlab.integrator._dp54_loop.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dynlab.__file__))},
+        )
+        assert out.stdout.strip() == "0"
+
+
+class TestInlinedFormula:
+    """The inliner writes a formula's own expressions, and refuses a kernel
+    that is not straight-line."""
+
+    @staticmethod
+    def inlined(fn, d):
+        """fn(y, *consts) as the loop writes it: its inlined lines in a function."""
+        consts, source = _inline_formula(fn, d)
+        comma = "," if d == 1 else ""
+        lines = [
+            "def inlined(y, consts):",
+            "    " + ", ".join(f"z{i}" for i in range(d)) + f"{comma} = y",
+            "    " + ", ".join("f_" + c for c in consts) + f"{',' if len(consts) == 1 else ''} = consts",
+        ]
+        lines += ["    " + line for line in source.format(local="z", out="k").splitlines()]
+        lines.append("    return [" + ", ".join(f"k{i}" for i in range(d)) + "]")
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        return namespace["inlined"]
+
+    def test_model_formulas_inline_to_their_calls(self):
+        rng = np.random.default_rng(5)
+        kernels = []
+        for _ in range(20):
+            p = _random_params(rng)
+            kernels += [full_system(p).field.kernel, reduced_system(p, float(rng.normal())).field.kernel]
+        assert {k.formula[0] for k in kernels} == {_full_rhs, _reduced_rhs}
+        for kernel in kernels:
+            fn, consts = kernel.formula
+            d = 5 if fn is _full_rhs else 3
+            inlined = self.inlined(fn, d)
+            for _ in range(50):
+                mag = 10.0 ** rng.uniform(-170.0, 12.0, size=d)
+                y = (rng.choice([-1.0, 1.0], size=d) * mag * rng.uniform(1.0, 10.0, size=d)).tolist()
+                want = np.array(kernel(0.0, y))
+                assert np.array(inlined(y, consts)).tobytes() == want.tobytes()
+                assert np.array(fn(y, *consts)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "fn, why",
+        [
+            pytest.param(_bad_calls, "'math.sin(a * x)' is not arithmetic", id="calls"),
+            pytest.param(
+                _bad_branches, "'if x > 0.0:\\n    v = -v' is not an assignment to new names", id="branches"
+            ),
+            pytest.param(_bad_ternary, "'-a * x if x > 0.0 else a * x' is not arithmetic", id="ternary"),
+            pytest.param(_bad_rebinds, "'x = a * x' is not an assignment to new names", id="rebinds"),
+            pytest.param(_bad_indexes, "its first statement must unpack y", id="indexes"),
+            pytest.param(_bad_tuple, "its last statement must return a list", id="tuple"),
+            pytest.param(_bad_augments, "'g += 1.0' is not an assignment to new names", id="augments"),
+        ],
+    )
+    def test_not_straight_line_raises_at_generation(self, fn, why):
+        kernel = _formula_kernel(fn, 2.0)
+        field = lambda t, y: np.array(kernel(t, list(y)))  # noqa: E731
+        field.kernel = kernel
+        message = f"{fn.__name__} is not a straight-line field formula: {why}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate(field, np.array([0.5, 0.1]), 0.0, 1.0, 0.5, IntegratorConfig())
 
 
 def _goes_bad(component, value, t_bad):
