@@ -392,7 +392,7 @@ class _Dp54Stepper:
         self.cfg = cfg
         self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
         self.y = y0
-        self.k1 = kernel(self.t, y0)  # of the wrong length, the first attempt raises
+        self.k1 = kernel(self.t, y0)  # a wrong length raises at the first attempt
         formula, self.consts = getattr(kernel, "formula", (None, ()))
         self.loop = _dp54_loop(len(y0), formula)
         self.h_prop = min(cfg.h_init, cfg.h_max)
