@@ -26,7 +26,9 @@ locals, and each component is written out with the expression a loop over
 components would use, in the same order, so it gives that loop's bits.  The
 body of a kernel's ``formula = (fn, constants)`` (`model`'s fields) is written
 into every stage, so all systems of one formula share one loop; any other
-kernel (a user field, the adapter, the tangent kernel) is called at each.
+kernel (a user field, the adapter, the tangent kernel) is called at each.  A
+formula whose source cannot be read, or no longer compiles to the code it was
+imported with (its file was edited since), is called too, with the same bits.
 
 Every run follows one schedule (`_Events`, a numpy table of stops): it steps
 exactly onto each sample time and, on a tangent run, each renorm time, where
@@ -234,9 +236,7 @@ def _check_blowup(y: list, t: float):
 def _float_kernel(fn):
     """The callable's own float kernel, or the adapter around its array form."""
     kernel = getattr(fn, "kernel", None)
-    if kernel is not None:
-        return kernel
-    return lambda t, y: fn(t, np.array(y)).ravel().tolist()
+    return kernel if kernel is not None else lambda t, y: fn(t, np.array(y)).ravel().tolist()
 
 
 def _mismatch(f, d: int) -> DimensionMismatchError:
@@ -245,15 +245,27 @@ def _mismatch(f, d: int) -> DimensionMismatchError:
 
 def _inline_formula(formula, d: int):
     """(constant names, source) of a straight-line field formula (see `model`),
-    or ValueError.  The source is the formula's syntax trees, so it gives the
-    bits of its call; it binds {out}0, ... to the field at the locals {local}0,
-    ..., which str.format names, and prefixes every other name with f_."""
-    (func,) = ast.parse(textwrap.dedent(inspect.getsource(formula))).body
-    a = func.args
+    None if its source is unavailable or not the code it was imported with, or
+    ValueError.  The source is the formula's syntax trees, so it gives the bits
+    of its call; it binds {out}0, ... to the field at the locals {local}0, ...,
+    which str.format names, and prefixes every other name with f_."""
+    try:
+        (func,) = ast.parse(textwrap.dedent(inspect.getsource(formula))).body
+        (code,) = [c for c in compile(ast.Module([func], []), "", "exec").co_consts if hasattr(c, "co_code")]
+    except (OSError, SyntaxError, ValueError):
+        return None
+    own = formula.__code__
+    same = len({repr((c.co_code, c.co_consts, c.co_names, c.co_varnames)) for c in (code, own)}) == 1
+    # Code that reads no global or enclosing name compiles alike anywhere.
+    if not (same or own.co_names or own.co_freevars):
+        return None
+    who = f"{formula.__qualname__} is not a straight-line field formula"
+    a = getattr(func, "args", None)
+    if not a or func.decorator_list or a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
+        raise ValueError(f"{who}: it must take the state and the constants as plain arguments")
     y, *consts = [arg.arg for arg in a.args]
     body = func.body[1:] if ast.get_docstring(func) is not None else func.body
     names = {c: "f_" + c for c in consts}
-    who = f"{formula.__qualname__} is not a straight-line field formula"
 
     def arithmetic(expr):  # its source, the names renamed
         for node in ast.walk(expr):
@@ -273,8 +285,6 @@ def _inline_formula(formula, d: int):
             raise ValueError(f"{who}: {ast.unparse(stmt)!r} is not an assignment to new names")
         return [n.id for n in new]
 
-    if func.decorator_list or a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
-        raise ValueError(f"{who}: it must take the state and the constants as plain arguments")
     if not (len(body) > 1 and isinstance(body[0], ast.Assign) and ast.unparse(body[0].value) == y):
         raise ValueError(f"{who}: its first statement must unpack {y}")
     state = fresh(body[0], ast.Tuple)
@@ -290,25 +300,22 @@ def _inline_formula(formula, d: int):
     if not len(state) == len(ret.value.elts) == d:
         raise ValueError(f"{who}: it must unpack and return {d} components")
     lines += [f"{{out}}{i} = {arithmetic(e)}" for i, e in enumerate(ret.value.elts)]
-    return consts, "\n".join(lines)
+    return (consts, "\n".join(lines)) if same else None
 
 
 _LOOP = """\
 def step_to(self, t_target):
-    cfg, kernel{consts} = self.cfg, self.kernel, *self.consts
+    cfg, kernel = self.cfg, self.kernel
+    {consts}
     atol, rtol, h_min, h_max, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.h_max, cfg.max_steps
     snap = 1e-13 * max(1.0, abs(t_target))
     t, h_prop, taken, rejected = self.t, self.h_prop, self.steps_taken, self.steps_rejected
-    {y} = self.y
-    stale = len(self.k1) != {d}  # a refreshed derivative of the wrong length
-    {k1} = ({y}) if stale else self.k1
+    ({y}), ({k1}) = self.y, self.k1
     try:
         while t_target - t > snap:
             if taken + rejected >= max_steps:
                 msg = f"max_steps = {{max_steps}} exhausted at t = {{t!r}}"
                 raise StepBudgetError(msg, t=t, last_state=np.array([{y}]))
-            if stale:
-                raise _mismatch(self.k1, {d})
             capped = h_prop >= t_target - t
             h = t_target - t if capped else h_prop
 {attempt}
@@ -317,10 +324,8 @@ def step_to(self, t_target):
                 {y} = {w}
                 {k1} = {k7}
                 taken += 1
-                if not capped:  # _controller_factor's expression for a finite err <= 1
-                    fac = {fmax!r} if err == 0.0 else {safety!r} * err**-0.2
-                    h_prop = h * (fac if fac < {fmax!r} else {fmax!r})
-                    h_prop = h_prop if h_prop <= h_max else h_max
+                if not capped:
+                    h_prop = min(h * _controller_factor(err), h_max)
             else:
                 rejected += 1
                 h_prop = min(h * _controller_factor(err), h_max)
@@ -330,7 +335,7 @@ def step_to(self, t_target):
         t = t_target
     finally:
         self.t, self.h_prop, self.steps_taken, self.steps_rejected = t, h_prop, taken, rejected
-        self.y, self.k1 = [{y}], self.k1 if stale else [{k1}]
+        self.y, self.k1 = [{y}], [{k1}]
 """
 
 
@@ -351,7 +356,8 @@ def _dp54_loop(d: int, formula):
 
     call = f"f = kernel({{ts}}, [{row('{local}')}])\ntry:\n    {row('{out}')} = f\n"
     call += f"except ValueError:\n    raise _mismatch(f, {d}) from None"
-    consts, field = _inline_formula(formula, d) if formula else ([], call)
+    inline = _inline_formula(formula, d) if formula else None
+    consts, field = inline or ([], call)
 
     last_state = f"last_state=np.array([{row('y_')}])"
     attempt = []
@@ -375,11 +381,11 @@ def _dp54_loop(d: int, formula):
         f"err = math.sqrt(({each('r{i} * r{i}', ' + ')}) / {d})",
     ]
     source = _LOOP.format(
-        d=d, y=row("y_"), k1=row("k1_"), w=row("w"), k7=row("k7_"), fmax=_FACTOR_MAX, safety=_SAFETY,
-        consts="".join(f", f_{c}" for c in consts),
+        y=row("y_"), k1=row("k1_"), w=row("w"), k7=row("k7_"),
+        consts=f"[{', '.join('f_' + c for c in consts)}] = self.consts" if inline else "",
         attempt=textwrap.indent("\n".join(attempt), " " * 12),
     )
-    route = formula.__qualname__ if formula else "kernel calls"
+    route = formula.__qualname__ if inline else "kernel calls"
     exec(compile(source, f"<DP54 step loop, d = {d}, {route}>", "exec"), globals(), loop := {})
     return loop["step_to"]
 
@@ -392,7 +398,7 @@ class _Dp54Stepper:
         self.cfg = cfg
         self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
         self.y = y0
-        self.k1 = kernel(self.t, y0)  # a wrong length raises at the first attempt
+        self.refresh_derivative()
         formula, self.consts = getattr(kernel, "formula", (None, ()))
         self.loop = _dp54_loop(len(y0), formula)
         self.h_prop = min(cfg.h_init, cfg.h_max)
@@ -402,6 +408,8 @@ class _Dp54Stepper:
     def refresh_derivative(self):
         """Recompute the cached derivative after the state was replaced."""
         self.k1 = self.kernel(self.t, self.y)
+        if len(self.k1) != len(self.y):
+            raise _mismatch(self.k1, len(self.y))
 
     def step_to(self, t_target: float):
         self.loop(self, t_target)
@@ -432,11 +440,8 @@ class _Rk4Stepper:
         snap = 1e-13 * max(1.0, abs(t_target))
         while t_target - self.t > snap:
             if self.steps_taken >= cfg.max_steps:
-                raise StepBudgetError(
-                    f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}",
-                    t=self.t,
-                    last_state=np.array(self.y),
-                )
+                msg = f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}"
+                raise StepBudgetError(msg, t=self.t, last_state=np.array(self.y))
             h = min(cfg.h_init, t_target - self.t)
             self.y = _rk4_step(self.kernel, self.y, self.t, h)
             t_new = self.t + h
@@ -724,13 +729,8 @@ class _Dp54Block:
         for j in np.flatnonzero(degenerate).tolist():
             i, k = int(idx[j]), int(e[j])
             te = float(self.ev_t[k])
-            self._fail(
-                i,
-                BlowUpError(
-                    f"tangent frame degenerated at t = {te!r}", t=te, last_state=Y[i, :d].copy()
-                ),
-                at_stop=True,
-            )
+            exc = BlowUpError(f"tangent frame degenerated at t = {te!r}", t=te, last_state=Y[i, :d].copy())
+            self._fail(i, exc, at_stop=True)
         ok = ~degenerate
         idx, e, q, stretches = idx[ok], e[ok], q[ok], stretches[ok]
         for i, slot, row in zip(idx.tolist(), self.events.renorm_slot[e].tolist(), stretches):
@@ -835,9 +835,8 @@ class _Dp54Block:
         for ts, Ys in stages:
             if not _finite(Ys[i].tolist()):
                 t = float(ts[i])
-                exc = BlowUpError(
-                    f"non-finite state during step at t = {t!r}", t=t, last_state=self.Y[i].copy()
-                )
+                msg = f"non-finite state during step at t = {t!r}"
+                exc = BlowUpError(msg, t=t, last_state=self.Y[i].copy())
                 break
         else:
             t = float(t_new[i])

@@ -4,6 +4,7 @@ Oracles are closed-form solutions (exp decay, harmonic oscillator, the
 bilinear exponential law) and the RK4 update polynomial.
 """
 
+import importlib.util
 import math
 import os
 import re
@@ -177,6 +178,12 @@ class TestIntegrate:
 
         with pytest.raises(DimensionMismatchError, match=f"returned {n_out} components for a 5-vector"):
             integrate(field, np.ones(5), 0.0, 1.0, 0.5, IntegratorConfig(method=method))
+
+    def test_wrong_length_in_a_window_shorter_than_the_snap(self):
+        """DP54 checks the first derivative's length even when its window
+        takes no step."""
+        with pytest.raises(DimensionMismatchError, match="returned 4 components for a 5-vector"):
+            integrate(lambda t, y: np.zeros(4), np.ones(5), 0.0, 1e-14, 1e-14, IntegratorConfig())
 
 
 class TestFixedRk4:
@@ -638,6 +645,7 @@ class TestGeneratedAttempt:
             new = _Dp54Stepper(kernel, 0.0, list(y0), cfg)
             ref = _ReferenceStepper(kernel, 0.0, list(y0), cfg)
             assert new.loop is _dp54_loop(d, getattr(kernel, "formula", (None,))[0])
+            assert ("kernel calls" in new.loop.__code__.co_filename) != name.startswith("inline"), name
             errors, reached = [], 0
 
             def recorded(*args):
@@ -695,9 +703,8 @@ class TestGeneratedAttempt:
             _assert_same_run(*runs)
             kinds.add((name, runs[1][0]))
 
-        # A refreshed derivative of the wrong length raises at the next
-        # attempt, as the unpacking of the attempt did: not on a stop within
-        # the snap, where no step is taken.
+        # A derivative of the wrong length raises where the stepper computes
+        # it, at construction or when it is refreshed.
         def shrinks(t, y):
             return [-u for u in y][: d - 1 if shrinks.short else d]
 
@@ -705,13 +712,11 @@ class TestGeneratedAttempt:
         stepper = _Dp54Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig())
         stepper.step_to(1.0)
         shrinks.short = True
-        stepper.refresh_derivative()
-        stepper.step_to(1.0 + 1e-14)
-        assert (stepper.t, len(stepper.k1)) == (1.0 + 1e-14, d - 1)
         message = f"returned {d - 1} components for a {d}-vector"
         with pytest.raises(DimensionMismatchError, match=message):
-            stepper.step_to(2.0)
-        assert stepper.t == 1.0 + 1e-14 and stepper.steps_taken > 0
+            stepper.refresh_derivative()
+        with pytest.raises(DimensionMismatchError, match=message):
+            _Dp54Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig())
         assert kinds >= {
             ("budget", StepBudgetError), ("stiff", StiffnessError), ("stage", BlowUpError),
             ("past", BlowUpError), ("at", "done"), ("ulp", BlowUpError),
@@ -776,6 +781,31 @@ class TestInlinedFormula:
                 y = (rng.choice([-1.0, 1.0], size=d) * mag * rng.uniform(1.0, 10.0, size=d)).tolist()
                 want = np.array(kernel(0.0, y))
                 assert np.array(inlined(y, consts)).tobytes() == want.tobytes()
+
+    def test_source_that_is_not_the_code_is_called(self, tmp_path):
+        """A formula whose file no longer holds the code it was imported with
+        (edited or deleted since) is called at every stage, not inlined, and
+        gives the reference loop's bits."""
+        path = tmp_path / "edited_formula.py"
+        text = "def rhs(y, a):\n    (x,) = y\n    return [a * x - {} * x * x]\n"
+        path.write_text(text.format("0.5"))
+        spec = importlib.util.spec_from_file_location("edited_formula", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert _inline_formula(module.rhs, 1) is not None
+        path.write_text(text.format("0.25"))  # another straight-line formula
+        assert _inline_formula(module.rhs, 1) is None
+        kernel = _formula_kernel(module.rhs, 1.3)
+        cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10)
+        new, ref = (stepper(kernel, 0.0, [0.2], cfg) for stepper in (_Dp54Stepper, _ReferenceStepper))
+        assert new.loop.__code__.co_filename == "<DP54 step loop, d = 1, kernel calls>"
+        for stepper in (new, ref):
+            stepper.step_to(3.0)
+        assert new.steps_taken > 10 and _stepper_state(new) == _stepper_state(ref)
+        path.write_text("def rhs(y, a):\n    if a > 0.0:\n        a = -a\n    return [a * y[0]]\n")
+        assert _inline_formula(module.rhs, 1) is None  # not straight-line, and not the code
+        path.unlink()
+        assert _inline_formula(module.rhs, 1) is None
 
     @pytest.mark.parametrize(
         "fn, why",
