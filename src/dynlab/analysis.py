@@ -14,15 +14,13 @@ D, E, F (full system) or K (reduced system), recording the spectrum, the
 classification, and the post-transient local maxima of y1 for bifurcation
 diagrams.
 
-A fixed-policy scan deals its points to the workers in interleaved shares
-(values[w::workers]).  A share of at least `_MIN_BATCH` points runs each
-transient on its own and then advances all its tangent runs as one block
-(`integrator.integrate_tangent_block`); a smaller share, a fixed-step method
-and the follow policy run point by point.  The block gives every point the
-bits of its own run, so the records do not depend on the worker count, the
-shares or the order of the values.  `_MIN_BATCH` sits at the measured
-crossover, where one block iteration costs as much as its members' scalar
-steps.
+Every spectrum run -- `lyapunov_spectrum`, each point of a follow-policy
+scan, each worker's share of a fixed-policy scan (values[w::workers]) --
+goes through `_spectra`: each transient on its own, then all the tangent
+runs through the one entry `integrator.integrate_tangent_block`, which
+advances them as one block or point by point.  Either way every point gets
+the bits of its own run, so the records do not depend on the worker count,
+the shares or the order of the values.
 """
 
 from __future__ import annotations
@@ -42,12 +40,10 @@ from .integrator import (
     _check_schedule,
     integrate,
     integrate_tangent_block,
-    integrate_with_tangents,
 )
 from .model import (
     DynamicalSystem,
     Params,
-    column_kernels,
     equilibrium,
     full_jacobian,
     full_system,
@@ -71,12 +67,6 @@ __all__ = [
 
 CLASSIFICATIONS = ("equilibrium", "periodic", "quasiperiodic-or-torus", "chaotic", "diverged")
 SCAN_PARAMS = ("C", "D", "E", "F", "K")
-
-# A fixed-policy scan share of at least this many points advances its tangent
-# runs as one block.  Measured on criterion-9 C points (T = 100 + 150, tol
-# 1e-8, 2-vCPU VM) against point-by-point runs: 0.81x at 8 points, 0.98-1.00x
-# at 10, 1.09x at 11, 1.16-1.25x at 12, 1.30x at 14, 1.59x at 16.
-_MIN_BATCH = 10
 
 
 @dataclass
@@ -105,8 +95,9 @@ class ScanRecord:
 class ScanSettings:
     """Per-point run settings shared by every entry of a parameter scan.
 
-    The window, the stride and the renorm interval are checked when the
-    settings are made, so a bad value stops a scan before any point runs.
+    The window, the stride, the renorm interval and the worker count (None:
+    one per CPU) are checked when the settings are made, so a bad value
+    stops a scan before any point runs.
     """
 
     y0: tuple
@@ -122,6 +113,8 @@ class ScanSettings:
     def __post_init__(self):
         _check_window(self.t_transient, self.t_total)
         _check_schedule(self.t_transient, self.t_total, self.out_stride, self.renorm_interval)
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass
@@ -145,32 +138,36 @@ def _transient_end(system: DynamicalSystem, y0: np.ndarray, t_transient: float, 
     return y0
 
 
-def _spectrum_run(
-    system: DynamicalSystem,
-    y0,
-    t_transient: float,
-    t_total: float,
-    renorm_interval: float,
-    cfg: IntegratorConfig,
-    out_stride: float | None = None,
+def _spectra(
+    systems, seeds, t_transient: float, t_total: float, renorm_interval: float, cfg, out_stride=None
 ):
-    """Transient, then tangent propagation.  Returns (report, traj, terminal)."""
+    """(report, traj, terminal) of each system's spectrum run from its seed:
+    its own transient, then the tangent runs of all the systems that
+    survived it through `integrate_tangent_block`."""
     _check_window(t_transient, t_total)
-    try:
-        base = _transient_end(system, np.asarray(y0, dtype=float), t_transient, cfg)
-        outcome = integrate_with_tangents(
-            system.field,
-            system.jacobian,
-            TangentBundle(base=base, frame=np.eye(system.dim)),
-            t_transient,
-            t_total,
-            renorm_interval,
-            cfg,
-            out_stride=out_stride,
-        )
-    except IntegrationError as exc:
-        outcome = exc
-    return _spectrum_report(outcome, system.dim, t_total, renorm_interval)
+    _check_schedule(t_transient, t_total, out_stride, renorm_interval)
+    outcomes, members, bundles = [None] * len(systems), [], []
+    for i, (system, seed) in enumerate(zip(systems, seeds)):
+        try:
+            base = _transient_end(system, np.asarray(seed, dtype=float), t_transient, cfg)
+        except IntegrationError as exc:
+            outcomes[i] = exc
+            continue
+        members.append(i)
+        bundles.append(TangentBundle(base=base, frame=np.eye(system.dim)))
+    runs = integrate_tangent_block(
+        [systems[i].field for i in members],
+        [systems[i].jacobian for i in members],
+        bundles,
+        t_transient,
+        t_total,
+        renorm_interval,
+        cfg,
+        out_stride=out_stride,
+    )
+    for i, outcome in zip(members, runs):
+        outcomes[i] = outcome
+    return [_spectrum_report(o, s.dim, t_total, renorm_interval) for o, s in zip(outcomes, systems)]
 
 
 def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
@@ -227,7 +224,7 @@ def lyapunov_spectrum(
     budget, stiffness) the report carries whatever intervals completed,
     flagged diverged.
     """
-    report, _, _ = _spectrum_run(system, y0, t_transient, t_total, renorm_interval, cfg)
+    [(report, _, _)] = _spectra([system], [y0], t_transient, t_total, renorm_interval, cfg)
     return report
 
 
@@ -310,21 +307,6 @@ def _make_system(p_base: Params, param_name: str, value: float) -> DynamicalSyst
     return full_system(replace(p_base, **{param_name: float(value)}))
 
 
-def _scan_point(args) -> tuple[ScanRecord, np.ndarray | None]:
-    p_base, param_name, value, seed, settings = args
-    system = _make_system(p_base, param_name, value)
-    report, traj, terminal = _spectrum_run(
-        system,
-        np.asarray(seed, dtype=float),
-        settings.t_transient,
-        settings.t_total,
-        settings.renorm_interval,
-        settings.integrator,
-        out_stride=settings.out_stride,
-    )
-    return _scan_record(param_name, value, report, traj, settings), terminal
-
-
 def _scan_record(param_name: str, value: float, report, traj, settings: ScanSettings) -> ScanRecord:
     label = classify(report, traj, settings.eps_zero)
     if label == "diverged" or traj is None:
@@ -342,54 +324,23 @@ def _scan_record(param_name: str, value: float, report, traj, settings: ScanSett
     )
 
 
-def _scan_shard(args) -> list[ScanRecord]:
-    """Records of one worker's share of a fixed-policy scan, in the share's order.
-
-    A share of at least _MIN_BATCH points runs each transient on its own,
-    then advances all the tangent runs as one block; a smaller one, or a
-    fixed-step method, runs point by point.  Either way each record has the
-    bits of its point's own run.
-    """
+def _scan_shard(args) -> list[tuple[ScanRecord, np.ndarray | None]]:
+    """(record, terminal state or None) of each point of a scan share, in the
+    share's order, every point run from the same seed."""
     p_base, param_name, values, seed, settings = args
-    cfg = settings.integrator
-    if len(values) < _MIN_BATCH or cfg.method != "adaptive-DP54":
-        return [_scan_point((p_base, param_name, v, seed, settings))[0] for v in values]
-    y0 = np.asarray(seed, dtype=float)
-    outcomes = [None] * len(values)
-    members, bundles = [], []
-    for i, v in enumerate(values):
-        system = _make_system(p_base, param_name, v)
-        try:
-            base = _transient_end(system, y0, settings.t_transient, cfg)
-        except IntegrationError as exc:
-            outcomes[i] = exc
-            continue
-        members.append(i)
-        bundles.append(TangentBundle(base=base, frame=np.eye(system.dim)))
-    field, jacobian, d = column_kernels(p_base, param_name, [values[i] for i in members])
-    block = integrate_tangent_block(
-        field,
-        jacobian,
-        bundles,
+    runs = _spectra(
+        [_make_system(p_base, param_name, v) for v in values],
+        [seed] * len(values),
         settings.t_transient,
         settings.t_total,
         settings.renorm_interval,
-        cfg,
+        settings.integrator,
         out_stride=settings.out_stride,
     )
-    for i, outcome in zip(members, block):
-        outcomes[i] = outcome
-    records = []
-    for v, outcome in zip(values, outcomes):
-        report, traj, _ = _spectrum_report(outcome, d, settings.t_total, settings.renorm_interval)
-        records.append(_scan_record(param_name, v, report, traj, settings))
-    return records
-
-
-def _worker_count(settings: ScanSettings) -> int:
-    if settings.workers is not None:
-        return max(1, settings.workers)
-    return os.cpu_count() or 1
+    return [
+        (_scan_record(param_name, v, report, traj, settings), terminal)
+        for v, (report, traj, terminal) in zip(values, runs)
+    ]
 
 
 def parameter_scan(
@@ -425,13 +376,13 @@ def parameter_scan(
         records = []
         seed = seed0
         for v in values:
-            record, terminal = _scan_point((p_base, param_name, v, seed, settings))
+            [(record, terminal)] = _scan_shard((p_base, param_name, [v], seed, settings))
             records.append(record)
             if terminal is not None:
                 seed = tuple(terminal.tolist())
         return records
 
-    workers = min(_worker_count(settings), len(values))
+    workers = min(settings.workers or os.cpu_count() or 1, len(values))
     shards = [(p_base, param_name, values[w::workers], seed0, settings) for w in range(workers)]
     if workers <= 1:
         shard_records = [_scan_shard(shards[0])]
@@ -440,7 +391,7 @@ def parameter_scan(
             shard_records = list(pool.map(_scan_shard, shards))
     records = [None] * len(values)
     for w, shard in enumerate(shard_records):
-        records[w::workers] = shard
+        records[w::workers] = [record for record, _ in shard]
     return records
 
 

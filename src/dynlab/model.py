@@ -32,11 +32,12 @@ identical subexpressions (several identity checks compare them at round-off
 level).  The public functions take float64 numpy vectors and raise
 InvalidStateError on non-finite input.  Each formula is written once, as an
 unvalidated float kernel; the public functions validate and call it, and the
-systems built by `full_system` / `reduced_system` hand it to the integrator,
-which writes the field kernels' bodies into its step loop.  So those are
-straight-line: one statement unpacks the state, each next one assigns
-arithmetic on earlier names and number literals to a new name, and the last
-returns a list of such expressions; the constants follow the state.
+systems built by `full_system` / `reduced_system` hand it to the integrator
+as ``formula = (fn, constants)`` on both kernels.  The integrator writes the
+field formulas' bodies into its step loop, so those are straight-line: one
+statement unpacks the state, each next one assigns arithmetic on earlier
+names and number literals to a new name, and the last returns a list of
+such expressions; the constants follow the state.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "project",
     "full_system",
     "reduced_system",
-    "column_kernels",
 ]
 
 
@@ -314,9 +314,11 @@ class DynamicalSystem:
     ones built by `full_system` and `reduced_system` also carry a `kernel`
     attribute: the same formula on a list of floats, unvalidated, returning
     a list (the Jacobian's d*d entries row-major).  The integrator calls a
-    kernel directly when there is one.  The field's kernel also carries
+    kernel directly when there is one.  Each kernel also carries
     ``formula = (fn, constants)``, the function it calls with the state and
-    those constants, which the integrator writes into its step loop.
+    those constants: the integrator writes the field's into its step loop,
+    and runs a block of systems that share both formulas on columns of
+    their constants.
     """
 
     field: Callable[[float, np.ndarray], np.ndarray]
@@ -324,13 +326,21 @@ class DynamicalSystem:
     dim: int
 
 
-def _kernel_system(formula, jacobian_kernel, dim: int) -> DynamicalSystem:
-    """Validated array callables around a field formula (fn, constants),
-    called as fn(y, *constants), and a Jacobian kernel."""
+def _kernel(formula):
+    """The float kernel (t, y) -> fn(y, *constants) of a formula (fn, constants),
+    which it carries as its ``formula``."""
     fn, constants = formula
 
-    def field_kernel(t, y):
+    def kernel(t, y):
         return fn(y, *constants)
+
+    kernel.formula = formula
+    return kernel
+
+
+def _kernel_system(field_formula, jacobian_formula, dim: int) -> DynamicalSystem:
+    """Validated array callables around the kernels of a field and a Jacobian formula."""
+    field_kernel, jacobian_kernel = _kernel(field_formula), _kernel(jacobian_formula)
 
     def field(t, y):
         return np.array(field_kernel(t, _as_state(y, dim)))
@@ -338,7 +348,6 @@ def _kernel_system(formula, jacobian_kernel, dim: int) -> DynamicalSystem:
     def jacobian(t, y):
         return np.array(jacobian_kernel(t, _as_state(y, dim))).reshape(dim, dim)
 
-    field_kernel.formula = formula
     field.kernel = field_kernel
     jacobian.kernel = jacobian_kernel
     return DynamicalSystem(field=field, jacobian=jacobian, dim=dim)
@@ -347,41 +356,11 @@ def _kernel_system(formula, jacobian_kernel, dim: int) -> DynamicalSystem:
 def full_system(p: Params) -> DynamicalSystem:
     """The full 5-D system packaged for the integrator."""
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system((_full_rhs, (C, D, E, F)), lambda t, y: _full_jac(y, C, D, E), 5)
+    return _kernel_system((_full_rhs, (C, D, E, F)), (_full_jac, (C, D, E)), 5)
 
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
     """The reduced 3-D system on the K-plane, packaged for the integrator."""
     _check_k(K)
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system((_reduced_rhs, (K, C, D, E, F)), lambda t, z: _reduced_jac(z, K, C, D, E), 3)
-
-
-def column_kernels(p: Params, name: str, values):
-    """Field and Jacobian kernels of a block of systems that differ in one constant.
-
-    Member i is `full_system(p)` with constant `name` (C, D, E or F) set to
-    values[i], or `reduced_system(p, values[i])` for name "K".  Both kernels
-    take the state as d numpy columns, entry i belonging to member i, and
-    return the field's d columns and the Jacobian's d*d entries row-major, as
-    numpy columns.  They run the systems' own float kernels with every
-    constant a column, so member i gets the bits of its own system's kernels.
-    Returns (field_kernel, jacobian_kernel, d).
-    """
-    if name not in ("C", "D", "E", "F", "K"):
-        raise ValueError(f"no column kernels for constant {name!r}")
-    col = np.array(values, dtype=float)
-    if col.ndim != 1 or not np.all(np.isfinite(col)):
-        raise InvalidStateError(f"{name} values must be a finite 1-D sequence")
-    C, D, E, F = (col if k == name else np.full(col.size, getattr(p, k)) for k in "CDEF")
-    if name == "K":
-        return (
-            lambda t, z: _reduced_rhs(z, col, C, D, E, F),
-            lambda t, z: _reduced_jac(z, col, C, D, E),
-            3,
-        )
-    return (
-        lambda t, y: _full_rhs(y, C, D, E, F),
-        lambda t, y: _full_jac(y, C, D, E),
-        5,
-    )
+    return _kernel_system((_reduced_rhs, (K, C, D, E, F)), (_reduced_jac, (K, C, D, E)), 3)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynlab import analysis
+from dynlab import integrator
 from dynlab.analysis import (
     LyapunovReport,
     ScanSettings,
@@ -166,6 +166,11 @@ class TestLyapunovSpectrum:
     def test_validates_window(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(linear_system(np.eye(2)), [1.0, 0.0], 10.0, 10.0, 1.0, FAST)
+        # The renorm interval is checked before the transient, which here
+        # would run out of steps and give a diverged report.
+        budget = IntegratorConfig(max_steps=1)
+        with pytest.raises(ValueError, match="renorm_interval"):
+            lyapunov_spectrum(linear_system(np.eye(2)), [1.0, 0.0], 10.0, 20.0, 0.0, budget)
 
 
 class TestEquilibriumStability:
@@ -210,10 +215,10 @@ class TestClassify:
 
     def test_stable_run_classified_equilibrium(self):
         p = Params(C=-3.0, D=-1.0, E=-1.0, F=0.0)
-        from dynlab.analysis import _spectrum_run, terminal_variation
+        from dynlab.analysis import _spectra, terminal_variation
 
-        rep, traj, _ = _spectrum_run(
-            full_system(p), equilibrium(p) + 0.05, 20.0, 120.0, 1.0, FAST, out_stride=0.5
+        [(rep, traj, _)] = _spectra(
+            [full_system(p)], [equilibrium(p) + 0.05], 20.0, 120.0, 1.0, FAST, out_stride=0.5
         )
         assert classify(rep, traj) == "equilibrium"
         assert terminal_variation(traj) < 1e-6  # the tail has genuinely settled
@@ -344,7 +349,7 @@ def assert_same_records(a, b):
 
 
 class TestBatchedScan:
-    """A fixed-policy shard of at least analysis._MIN_BATCH points advances its
+    """A fixed-policy shard of at least integrator._MIN_BATCH points advances its
     tangent runs as one block; every record must be the one its point gets
     on its own."""
 
@@ -360,7 +365,7 @@ class TestBatchedScan:
         return ScanSettings(**base)
 
     def scan(self, monkeypatch, min_batch, p, name, values, settings):
-        monkeypatch.setattr(analysis, "_MIN_BATCH", min_batch)
+        monkeypatch.setattr(integrator, "_MIN_BATCH", min_batch)
         return parameter_scan(p, name, values, "fixed", settings)
 
     def test_c_scan_equilibrium_and_chaos(self, monkeypatch):

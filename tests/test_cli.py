@@ -303,23 +303,26 @@ class TestScan:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "param, steps, stride",
+        "param, steps, stride, workers",
         [
-            pytest.param("K", "2", 0.1, id="K-2"),
-            pytest.param("C", "-1", 0.1, id="C--1"),
-            pytest.param("C", "1", -0.1, id="out_stride=-0.1"),
-            pytest.param("C", "1", 0.0, id="out_stride=0"),
+            pytest.param("K", "2", 0.1, "1", id="K-2"),
+            pytest.param("C", "-1", 0.1, "1", id="C--1"),
+            pytest.param("C", "1", -0.1, "1", id="out_stride=-0.1"),
+            pytest.param("C", "1", 0.0, "1", id="out_stride=0"),
+            pytest.param("C", "1", 0.1, "0", id="workers=0"),
+            pytest.param("C", "1", 0.1, "-3", id="workers=-3"),
         ],
     )
-    def test_rejected_scan_creates_no_directory(self, tmp_path, capsys, param, steps, stride):
-        """A K-scan from a full start, a negative step count and an out_stride
-        that is not positive exit 2 before the output directory is made."""
+    def test_rejected_scan_creates_no_directory(self, tmp_path, capsys, param, steps, stride, workers):
+        """A K-scan from a full start, a negative step count, an out_stride
+        that is not positive and a worker count below one exit 2 before the
+        output directory is made."""
         times = {"t_transient": 20.0, "t_total": 80.0, "out_stride": stride}
         cfg = self.scan_config(tmp_path, times=times)
         out = tmp_path / "never"
         code = main(
             ["scan", "--config", cfg, "--out", str(out), "--param", param,
-             "--min", "-1.0", "--max", "1.0", f"--steps={steps}", "--workers", "1"]
+             "--min", "-1.0", "--max", "1.0", f"--steps={steps}", f"--workers={workers}"]
         )
         assert code == 2
         assert "dynlab: invalid config:" in capsys.readouterr().err

@@ -23,9 +23,8 @@ from dynlab.errors import (
     StepBudgetError,
     StiffnessError,
 )
+from dynlab import integrator
 from dynlab.integrator import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7,
     _FACTOR_MIN,
     _SAFETY,
     IntegratorConfig,
@@ -34,6 +33,7 @@ from dynlab.integrator import (
     Trajectory,
     _check_blowup,
     _controller_factor,
+    _Dp54Block,
     _Dp54Stepper,
     _dp54_loop,
     _Events,
@@ -54,7 +54,6 @@ from dynlab.model import (
     Params,
     _full_rhs,
     _reduced_rhs,
-    column_kernels,
     full_system,
     reduced_system,
 )
@@ -381,6 +380,22 @@ class TestKernelAndAdapterPaths:
             traj_b.steps_taken,
             traj_b.steps_rejected,
         )
+
+
+# The Dormand-Prince 5(4) tableau as the reference spells it, one name per
+# entry: nodes c, stage weights a, 5th-order weights b and e = b - b*.
+_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
+_A21 = 0.2
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
+)
+_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
+)
 
 
 def _reference_attempt(kernel, t, h, y, k1, atol, rtol):
@@ -956,22 +971,40 @@ def _assert_same_results(a, b):
     )
 
 
+def _system(p, name, value):
+    if name == "K":
+        return reduced_system(p, value)
+    return full_system(Params(**{**p.__dict__, name: value}))
+
+
 class TestTangentBlock:
     """Each member of a block gets exactly its own integrate_with_tangents run."""
+
+    @pytest.fixture(autouse=True)
+    def block_of_any_size(self, monkeypatch):
+        """Every set of two or more members runs as one `_Dp54Block`; the
+        blocks run are counted in self.blocks."""
+        monkeypatch.setattr(integrator, "_MIN_BATCH", 2)
+        self.blocks = 0
+        run = _Dp54Block.run
+
+        def counted_run(block):
+            self.blocks += 1
+            return run(block)
+
+        monkeypatch.setattr(_Dp54Block, "run", counted_run)
 
     def run_both(self, p, name, values, y0, t0, t1, renorm, cfg, out_stride):
         d = len(y0)
         bundles = [TangentBundle(base=np.array(y0), frame=np.eye(d)) for _ in values]
-        field, jacobian, _ = column_kernels(p, name, values)
+        systems = [_system(p, name, v) for v in values]
         block = integrate_tangent_block(
-            field, jacobian, bundles, t0, t1, renorm, cfg, out_stride=out_stride
+            [s.field for s in systems], [s.jacobian for s in systems], bundles, t0, t1, renorm, cfg,
+            out_stride=out_stride,
         )
+        assert self.blocks == 1
         assert len(block) == len(values)
-        for v, outcome in zip(values, block):
-            if name == "K":
-                system = reduced_system(p, v)
-            else:
-                system = full_system(Params(**{**p.__dict__, name: v}))
+        for system, outcome in zip(systems, block):
             _assert_same_outcome(
                 outcome,
                 lambda: integrate_with_tangents(
@@ -1038,7 +1071,7 @@ class TestTangentBlock:
 
         bundles = [TangentBundle(base=np.array([1.0, -0.5, 0.25]), frame=np.eye(3))] * 2
         cfg = TestNonFiniteBlowUp.LOOSE
-        block = integrate_tangent_block(field, jacobian, bundles, 0.0, 5.0, 1.0, cfg, 0.5)
+        block = _Dp54Block(field, jacobian, bundles, 0.0, _Events(0.0, 5.0, 0.5, 1.0), cfg).run()
         for outcome, f in zip(block, (decay, _goes_bad(component, value, 2.025))):
             _assert_same_outcome(
                 outcome,
@@ -1049,20 +1082,41 @@ class TestTangentBlock:
         assert "non-finite state during step" in str(block[1])
 
     def test_validates_like_the_scalar_run(self):
-        field, jacobian, _ = column_kernels(Params(-1.0, -1.0, -0.5, 0.0), "C", [-1.0])
-        bundles = [TangentBundle(base=np.ones(5), frame=np.eye(5))]
+        systems = [_system(Params(-1.0, -1.0, -0.5, 0.0), "C", c) for c in (-1.0, -0.8)]
+        fields, jacobians = [s.field for s in systems], [s.jacobian for s in systems]
+        bundles = [TangentBundle(base=np.ones(5), frame=np.eye(5))] * 2
         cfg = IntegratorConfig()
         with pytest.raises(ValueError):
-            integrate_tangent_block(field, jacobian, bundles, 0.0, 1.0, 0.0, cfg)
+            integrate_tangent_block(fields, jacobians, bundles, 0.0, 1.0, 0.0, cfg)
         with pytest.raises(ValueError):
-            integrate_tangent_block(field, jacobian, bundles, 1.0, 1.0, 1.0, cfg)
-        with pytest.raises(ValueError):
-            integrate_tangent_block(
-                field, jacobian, bundles, 0.0, 1.0, 1.0, IntegratorConfig(method="fixed-RK4")
-            )
-        skew = [TangentBundle(base=np.ones(5), frame=2.0 * np.eye(5))]
+            integrate_tangent_block(fields, jacobians, bundles, 1.0, 1.0, 1.0, cfg)
+        skew = [TangentBundle(base=np.ones(5), frame=2.0 * np.eye(5))] * 2
         with pytest.raises(InvalidStateError):
-            integrate_tangent_block(field, jacobian, skew, 0.0, 1.0, 1.0, cfg)
+            integrate_tangent_block(fields, jacobians, skew, 0.0, 1.0, 1.0, cfg)
+        assert self.blocks == 0
+
+    @pytest.mark.parametrize("route", ["fixed-RK4", "no formula"])
+    def test_members_the_block_cannot_take_run_on_their_own(self, route):
+        """An RK4 set, and a DP54 set whose fields carry no formula, give each
+        member its own run's outcome, a failed one included."""
+        p = Params(C=-2.5, D=-1.0, E=-0.1, F=0.0)
+        systems = [_system(p, "C", c) for c in (-2.5, 1.0)]
+        fields = [s.field for s in systems]
+        if route == "no formula":
+            cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9)
+            fields = [lambda t, y, f=f: f(t, y) for f in fields]
+        else:
+            cfg = IntegratorConfig(method="fixed-RK4", h_init=0.01, h_max=0.01)
+        jacobians = [s.jacobian for s in systems]
+        bundles = [TangentBundle(base=np.array([0.0, 0.0, 1.99, 0.0, 0.0]), frame=np.eye(5))] * 2
+        block = integrate_tangent_block(fields, jacobians, bundles, 1.0, 41.0, 10.0, cfg, 0.1)
+        assert self.blocks == 0
+        assert isinstance(block[1], BlowUpError)
+        for field, jacobian, outcome in zip(fields, jacobians, block):
+            _assert_same_outcome(
+                outcome,
+                lambda: integrate_with_tangents(field, jacobian, bundles[0], 1.0, 41.0, 10.0, cfg, 0.1),
+            )
 
 
 def _reference_events(t0: float, t1: float, renorm_interval: float, out_stride):

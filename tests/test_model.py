@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from dynlab.errors import DegenerateParametersError, InvalidStateError
+from dynlab.integrator import _columns
 from dynlab.model import (
     KRatio,
     Params,
-    column_kernels,
     equilibrium,
     full_jacobian,
     full_vector_field,
@@ -276,35 +276,40 @@ class TestLift:
             np.testing.assert_allclose(f5[4], K * f5[1], atol=1e-13 * scale)
 
 
+def _system(p, name, value):
+    if name == "K":
+        return reduced_system(p, value)
+    return full_system(Params(**{**p.__dict__, name: value}))
+
+
 class TestColumnKernels:
-    """Entry i of the column kernels has the bits of member i's own system."""
+    """Entry i of the column kernels (`integrator._columns`) of a block of
+    systems has the bits of member i's own kernels."""
 
     P = Params(C=-1.0, D=-0.7, E=-0.5, F=0.2)
 
     @pytest.mark.parametrize("name", ["C", "D", "E", "F", "K"])
     def test_members_match_their_systems(self, name):
-        values = RNG.normal(size=6)
+        values = RNG.normal(size=6).tolist()
         d = 3 if name == "K" else 5
         states = RNG.normal(size=(6, d)) * 10.0 ** RNG.uniform(-3, 3, size=(6, 1))
-        field, jacobian, dim = column_kernels(self.P, name, values)
-        assert dim == d
+        systems = [_system(self.P, name, v) for v in values]
+        field = _columns([s.field for s in systems])
+        jacobian = _columns([s.jacobian for s in systems])
         cols = states.T
         f_cols, j_cols = np.array(field(0.0, cols)), np.array(jacobian(0.0, cols))
         assert f_cols.shape == (d, 6) and j_cols.shape == (d * d, 6)
-        for i, v in enumerate(values):
-            if name == "K":
-                system = reduced_system(self.P, float(v))
-            else:
-                system = full_system(Params(**{**self.P.__dict__, name: float(v)}))
+        for i, system in enumerate(systems):
             y = states[i].tolist()
             assert f_cols[:, i].tolist() == system.field.kernel(0.0, y)
             assert j_cols[:, i].tolist() == system.jacobian.kernel(0.0, y)
 
-    def test_rejects_bad_values(self):
-        with pytest.raises(InvalidStateError):
-            column_kernels(self.P, "C", [0.0, np.nan])
-        with pytest.raises(ValueError):
-            column_kernels(self.P, "G", [0.0])
+    def test_none_without_one_shared_formula(self):
+        full, reduced = full_system(self.P), reduced_system(self.P, 0.5)
+        assert _columns([full.field, reduced.field]) is None
+        assert _columns([full.field, full.jacobian]) is None
+        assert _columns([full.field, lambda t, y: full.field(t, y)]) is None
+        assert _columns([np.sin]) is None
 
 
 class TestTypes:
