@@ -81,8 +81,9 @@ def _require_keys(section: dict, allowed, where: str):
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    # abs(value) <= max also refuses NaN and an int past the float range.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -362,6 +363,8 @@ def cmd_verify(cfg: dict, out_override: str | None) -> int:
     p = _params(cfg)
     icfg = _integrator_config(cfg)
     v = cfg["verify"]
+    if not (v["samples"] >= 0 and v["horizon"] > 0.0):
+        raise ConfigError("require verify.samples >= 0 and verify.horizon > 0")
     directory = _out_dir(cfg, out_override)
     reports = verification_suite(
         p,
@@ -483,8 +486,11 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
         eps_zero=cfg["scan"]["eps_zero"],
         workers=args.workers,
     )
+    with np.errstate(all="ignore"):  # a range past the float range gives inf and NaN, refused below
+        values = np.linspace(args.min, args.max, args.steps) if args.steps else []
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("--min and --max must give finite scan values")
     directory = _out_dir(cfg, out_override)
-    values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     records = parameter_scan(p, param, values, args.policy, settings)
 
     header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(dim)]

@@ -23,12 +23,11 @@ tangent frame is formed from those entries by one routine either way.
 The DP54 step loop is generated once per dimension d and field formula
 (`_dp54_loop`), as `dataclasses` builds its methods: its state lives in
 locals, and each component is written out with the expression a loop over
-components would use, in the same order, so it gives that loop's bits.  The
-body of a kernel's ``formula = (fn, constants)`` (`model`'s fields) is written
-into every stage, so all systems of one formula share one loop; any other
-kernel (a user field, the adapter, the tangent kernel) is called at each.  A
-formula whose source cannot be read, or no longer compiles to the code it was
-imported with (its file was edited since), is called too, with the same bits.
+components would use, in the same order, so it gives that loop's bits.  What
+a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes, traced
+once on stand-in numbers (`_trace`), is written into every stage, so all
+systems of one formula share one loop; any other kernel, or a formula that
+branches on its values or calls a function, is called at each, same bits.
 
 Every run follows one schedule (`_Events`, a numpy table of stops): it steps
 exactly onto each sample time and, on a tangent run, each renorm time, where
@@ -61,9 +60,7 @@ identical inputs produce bitwise-identical results on one platform.
 
 from __future__ import annotations
 
-import ast
 import functools
-import inspect
 import math
 import textwrap
 from dataclasses import dataclass
@@ -232,64 +229,61 @@ def _mismatch(f, d: int) -> DimensionMismatchError:
     return DimensionMismatchError(f"field returned {len(f)} components for a {d}-vector")
 
 
-def _inline_formula(formula, d: int):
-    """(constant names, source) of a straight-line field formula (see `model`),
-    None if its source is unavailable or not the code it was imported with, or
-    ValueError.  The source is the formula's syntax trees, so it gives the bits
-    of its call; it binds {out}0, ... to the field at the locals {local}0, ...,
-    which str.format names, and prefixes every other name with f_."""
+class _Traced:
+    """A stand-in number for `_trace`: a +, - or * with a stand-in, an int or a
+    finite float is a new stand-in on the tape; anything else raises TypeError."""
+
+    __slots__ = ("text", "args", "uses", "tape")
+    __array_ufunc__ = None  # a numpy scalar operand defers to the stand-in
+
+    def __init__(self, text, args=(), tape=None):
+        self.text, self.args, self.uses, self.tape = text, args, 0, tape
+
+    def _op(self, symbol, *args):
+        if not all(isinstance(a, (_Traced, int)) or isinstance(a, float) and math.isfinite(a) for a in args):
+            return NotImplemented
+        leaf = lambda a: _Traced(repr(float(a) if isinstance(a, float) else int(a)))  # noqa: E731
+        self.tape.append(_Traced(symbol, [a if isinstance(a, _Traced) else leaf(a) for a in args], self.tape))
+        return self.tape[-1]
+
+    __add__, __radd__ = (lambda a, b: a._op("+", a, b)), (lambda a, b: a._op("+", b, a))
+    __sub__, __rsub__ = (lambda a, b: a._op("-", a, b)), (lambda a, b: a._op("-", b, a))
+    __mul__, __rmul__ = (lambda a, b: a._op("*", a, b)), (lambda a, b: a._op("*", b, a))
+    __neg__ = lambda a: a._op("-", a)  # noqa: E731
+    __bool__ = __eq__ = __ne__ = __hash__ = None  # not available: TypeError, as for <, <=, >, >=
+
+
+def _trace(fn, d: int):
+    """(constant names, source) of what a field formula fn(y, *constants)
+    computes on `_Traced` stand-ins, or None (call fn) if that run raises or
+    gives other than d stand-ins.  The source binds {out}0, ... to the field at
+    {local}0, ..., which str.format names; a value used twice is a local."""
+    tape = []
     try:
-        (func,) = ast.parse(textwrap.dedent(inspect.getsource(formula))).body
-        (code,) = [c for c in compile(ast.Module([func], []), "", "exec").co_consts if hasattr(c, "co_code")]
-    except (OSError, SyntaxError, ValueError):
+        consts = [f"f_c{i}" for i in range(fn.__code__.co_argcount - 1)]
+        state = [_Traced("{local}%d" % i, tape=tape) for i in range(d)]
+        out = list(fn(state, *(_Traced(c, tape=tape) for c in consts)))
+    except Exception:
         return None
-    own = formula.__code__
-    same = len({repr((c.co_code, c.co_consts, c.co_names, c.co_varnames)) for c in (code, own)}) == 1
-    # Code that reads no global or enclosing name compiles alike anywhere.
-    if not (same or own.co_names or own.co_freevars):
+    if len(out) != d or not all(isinstance(v, _Traced) for v in out):
         return None
-    who = f"{formula.__qualname__} is not a straight-line field formula"
-    a = getattr(func, "args", None)
-    if not a or func.decorator_list or a.posonlyargs or a.vararg or a.kwonlyargs or a.kwarg or a.defaults:
-        raise ValueError(f"{who}: it must take the state and the constants as plain arguments")
-    y, *consts = [arg.arg for arg in a.args]
-    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
-    names = {c: "f_" + c for c in consts}
 
-    def arithmetic(expr):  # its source, the names renamed
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id in names:
-                node.id = names[node.id]
-            elif not (
-                isinstance(node, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop, ast.Load))
-                or (isinstance(node, ast.Constant) and type(node.value) in (int, float))
-            ):
-                raise ValueError(f"{who}: {ast.unparse(node)!r} is not arithmetic on earlier names")
-        return ast.unparse(expr)
+    def text(v, outer=0):  # parenthesized only where needed: the parser nests 200 deep at most
+        if len(v.args) < 2:
+            return "-" + text(v.args[0], 3) if v.args else v.text
+        binds = 2 if v.text == "*" else 1
+        source = f"{text(v.args[0], binds)} {v.text} {text(v.args[1], binds + 1)}"
+        return f"({source})" if binds < outer else source
 
-    def fresh(stmt, kind):  # the new names an assignment to one `kind` binds
-        target = stmt.targets[0] if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 else None
-        new = target.elts if isinstance(target, ast.Tuple) else [target]
-        if not (isinstance(target, kind) and all(isinstance(n, ast.Name) and n.id not in names for n in new)):
-            raise ValueError(f"{who}: {ast.unparse(stmt)!r} is not an assignment to new names")
-        return [n.id for n in new]
-
-    if not (len(body) > 1 and isinstance(body[0], ast.Assign) and ast.unparse(body[0].value) == y):
-        raise ValueError(f"{who}: its first statement must unpack {y}")
-    state = fresh(body[0], ast.Tuple)
-    names.update((name, "{local}%d" % i) for i, name in enumerate(state))
+    for a in [a for v in tape for a in v.args] + out:
+        a.uses += 1
     lines = []
-    for stmt in body[1:-1]:
-        (name,) = fresh(stmt, ast.Name)
-        lines.append(f"f_{name} = {arithmetic(stmt.value)}")
-        names[name] = "f_" + name
-    ret = body[-1]
-    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.List)):
-        raise ValueError(f"{who}: its last statement must return a list")
-    if not len(state) == len(ret.value.elts) == d:
-        raise ValueError(f"{who}: it must unpack and return {d} components")
-    lines += [f"{{out}}{i} = {arithmetic(e)}" for i, e in enumerate(ret.value.elts)]
-    return (consts, "\n".join(lines)) if same else None
+    for v in tape:  # in the order the operations ran
+        if v.uses > 1:
+            lines.append(f"f_{len(lines)} = {text(v)}")
+            v.text, v.args = f"f_{len(lines) - 1}", ()
+    lines += [f"{{out}}{i} = {text(v)}" for i, v in enumerate(out)]
+    return consts, "\n".join(lines)
 
 
 _LOOP = """\
@@ -345,7 +339,7 @@ def _dp54_loop(d: int, formula):
 
     call = f"f = kernel({{ts}}, [{row('{local}')}])\ntry:\n    {row('{out}')} = f\n"
     call += f"except ValueError:\n    raise _mismatch(f, {d}) from None"
-    inline = _inline_formula(formula, d) if formula else None
+    inline = _trace(formula, d) if formula else None
     consts, field = inline or ([], call)
 
     last_state = f"last_state=np.array([{row('y_')}])"
@@ -371,7 +365,7 @@ def _dp54_loop(d: int, formula):
     ]
     source = _LOOP.format(
         y=row("y_"), k1=row("k1_"), w=row("w"), k7=row("k7_"),
-        consts=f"[{', '.join('f_' + c for c in consts)}] = self.consts" if inline else "",
+        consts=f"[{', '.join(consts)}] = self.consts" if inline else "",
         attempt=textwrap.indent("\n".join(attempt), " " * 12),
     )
     route = formula.__qualname__ if inline else "kernel calls"
@@ -484,9 +478,9 @@ def _output_times(t0: float, t1: float, out_stride: float) -> np.ndarray:
 
 
 def _check_schedule(t0: float, t1: float, out_stride=None, renorm_interval=None):
-    """Reject an empty window and a stride or renorm interval that is not positive."""
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
+    """Reject a window that is empty or not finite and a stride or renorm interval that is not positive."""
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError("require finite t0 < t1")
     for name, step in (("out_stride", out_stride), ("renorm_interval", renorm_interval)):
         if step is not None and not step > 0.0:
             raise ValueError(f"{name} must be positive")

@@ -33,11 +33,9 @@ level).  The public functions take float64 numpy vectors and raise
 InvalidStateError on non-finite input.  Each formula is written once, as an
 unvalidated float kernel; the public functions validate and call it, and the
 systems built by `full_system` / `reduced_system` hand it to the integrator
-as ``formula = (fn, constants)`` on both kernels.  The integrator writes the
-field formulas' bodies into its step loop, so those are straight-line: one
-statement unpacks the state, each next one assigns arithmetic on earlier
-names and number literals to a new name, and the last returns a list of
-such expressions; the constants follow the state.
+as ``formula = (fn, constants)`` on both kernels.  A formula does the same
+arithmetic on whatever number-like values it gets (floats, the integrator's
+numpy columns and its tracing stand-ins) and does not branch on them.
 """
 
 from __future__ import annotations

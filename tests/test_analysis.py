@@ -171,6 +171,8 @@ class TestLyapunovSpectrum:
         budget = IntegratorConfig(max_steps=1)
         with pytest.raises(ValueError, match="renorm_interval"):
             lyapunov_spectrum(linear_system(np.eye(2)), [1.0, 0.0], 10.0, 20.0, 0.0, budget)
+        with pytest.raises(ValueError, match="finite"):
+            lyapunov_spectrum(linear_system(np.eye(2)), [1.0, 0.0], 10.0, math.inf, 1.0, FAST)
 
 
 class TestEquilibriumStability:
@@ -296,6 +298,12 @@ class TestParameterScan:
             parameter_scan(p, "G", [0.0], "fixed", self.settings([1.0] * 5))
         with pytest.raises(ValueError):
             parameter_scan(p, "C", [0.0], "sometimes", self.settings([1.0] * 5))
+
+    def test_settings_need_a_finite_window(self):
+        """An endless scan window is refused when the settings are made, not
+        later in a worker."""
+        with pytest.raises(ValueError, match="finite"):
+            ScanSettings(y0=(1.0,) * 5, t_transient=10.0, t_total=math.inf)
 
     def test_diverged_point_recorded_and_scan_continues(self):
         """A failing point is marked diverged with empty extrema; neighbours

@@ -393,3 +393,32 @@ def test_rejected_times_create_no_directory(tmp_path, capsys, command, times, ly
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"dynlab: invalid config: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+FINITE = "must be a finite number"
+FULL_NAN = 'initial_state={"full": [NaN, 0.0, 0.0, 0.0, 1.0]}'
+SCAN = ["scan", "--set", "times.t_transient=0", "--param", "C", "--steps=2"]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["simulate", "--set", "times.t_total=Infinity"], FINITE, id="simulate-t_total=Infinity"),
+        pytest.param(["lyapunov", "--set", "times.t_total=Infinity"], FINITE, id="lyapunov-t_total=Infinity"),
+        pytest.param(["simulate", "--set", "params.C=NaN"], FINITE, id="simulate-C=NaN"),
+        pytest.param(["simulate", "--set", FULL_NAN], FINITE, id="simulate-full=NaN"),
+        pytest.param(["verify", "--set", "verify.horizon=0"], "verify.horizon > 0", id="verify-horizon=0"),
+        pytest.param(["verify", "--set", "verify.samples=-1"], "verify.samples >= 0", id="verify-samples=-1"),
+        pytest.param(SCAN + ["--min=nan", "--max=1.0"], "finite scan values", id="scan-min=nan"),
+        pytest.param(SCAN + ["--min=-1e308", "--max=1e308"], "finite scan values", id="scan-range=overflow"),
+    ],
+)
+def test_rejected_values_create_no_directory(tmp_path, capsys, args, message):
+    """Python's json reads NaN and Infinity, which strict JSON has not; they,
+    verify's own settings and scan's range are refused before the output
+    directory is made."""
+    out = tmp_path / "never"
+    assert main(args + ["--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynlab: invalid config:") and message in err
+    assert not out.exists()

@@ -4,10 +4,8 @@ Oracles are closed-form solutions (exp decay, harmonic oscillator, the
 bilinear exponential law) and the RK4 update polynomial.
 """
 
-import importlib.util
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -39,13 +37,13 @@ from dynlab.integrator import (
     _Events,
     _finite,
     _float_kernel,
-    _inline_formula,
     _mismatch,
     _orthonormalize,
     _output_times,
     _rk4_step,
     _run_events,
     _tangent_kernel,
+    _trace,
     integrate,
     integrate_tangent_block,
     integrate_with_tangents,
@@ -527,61 +525,81 @@ def _coupled_kernel(d, rng):
 
 
 def _logistic_rhs(y, a, b):
-    """A 1-D straight-line formula."""
+    """A 1-D field formula."""
     (x,) = y
     return [a * x - b * x * x]
 
 
 def _duffing_rhs(y, a, b):
-    """A 2-D straight-line formula whose locals share names with the loop's."""
+    """A 2-D field formula whose locals share names with the loop's."""
     x, v = y
     h = a + b * x * x
     s = h * x
     return [v, -s - 0.1 * v]
 
 
-def _bad_calls(y, a):
+def _calls_rhs(y, a):
     x, v = y
     return [v, math.sin(a * x)]
 
 
-def _bad_branches(y, a):
+def _branching_rhs(y, a):
+    """A spring that is twice as stiff for x > 0."""
     x, v = y
     if x > 0.0:
-        v = -v
+        x = 2.0 * x
     return [v, -a * x]
 
 
-def _bad_ternary(y, a):
+def _ternary_rhs(y, a):
     x, v = y
-    return [v, -a * x if x > 0.0 else a * x]
+    return [v, -a * x if x > 0.0 else -0.5 * a * x]
 
 
-def _bad_rebinds(y, a):
+def _rebinding_rhs(y, a):
     x, v = y
     x = a * x
     return [v, -x]
 
 
-def _bad_indexes(y, a):
+def _indexing_rhs(y, a):
     x = y[0]
     return [y[1], -a * x]
 
 
-def _bad_tuple(y, a):
+def _tuple_rhs(y, a):
     x, v = y
-    return v, -a * x
+    return v, -2 * a * x
 
 
-def _bad_augments(y, a):
+def _augmenting_rhs(y, a):
     x, v = y
     g = a * x
     g += 1.0
     return [v, -g]
 
 
+def _numpy_scalar_rhs(y, a):
+    """A formula whose literals are numpy scalars."""
+    (x,) = y
+    return [np.float64(0.5) * x * (a - x) - x * np.float64(0.25)]
+
+
+def _equals_rhs(y, a):
+    x, v = y
+    g = 0.0 if x == 0.0 else a * x
+    return [v, -g]
+
+
+def _truth_rhs(y, a):
+    x, v = y
+    if v:
+        return [v, -a * x]
+    return [0.0, -a * x]
+
+
 def _formula_kernel(fn, *consts):
-    """A float kernel that carries its straight-line formula."""
+    """A float kernel that carries its formula."""
 
     def kernel(t, y):
         return fn(y, *consts)
@@ -604,8 +622,17 @@ def _kernels(d, rng):
     p = _random_params(rng)
     if d == 1:
         out.append(("inline-logistic", _formula_kernel(_logistic_rhs, 1.3, 0.7), [0.2]))
+        out.append(("inline-numpy-scalar", _formula_kernel(_numpy_scalar_rhs, 1.5), [0.2]))
     if d == 2:
         out.append(("inline-duffing", _formula_kernel(_duffing_rhs, -1.0, 1.0), [0.9, -0.3]))
+        # A formula that calls a function or branches on a value is called at
+        # each stage; rebinding, indexing, a tuple and += trace like any other.
+        for route, fn in [
+            ("call", _calls_rhs), ("call", _branching_rhs), ("call", _ternary_rhs),
+            ("inline", _rebinding_rhs), ("inline", _indexing_rhs), ("inline", _tuple_rhs),
+            ("inline", _augmenting_rhs),
+        ]:
+            out.append((f"{route}-{fn.__name__}", _formula_kernel(fn, 2.0), [0.5, 0.1]))
     if d == 3:
         kernel = reduced_system(p, float(rng.uniform(-1.5, 1.5))).field.kernel
         out.append(("inline-reduced", kernel, rng.uniform(-1.0, 1.0, 3).tolist()))
@@ -761,24 +788,34 @@ class TestGeneratedAttempt:
 
 
 class TestInlinedFormula:
-    """The inliner writes a formula's own expressions, and refuses a kernel
-    that is not straight-line."""
+    """The tracer writes the arithmetic a formula does, whatever its source,
+    and leaves a formula that branches on its values to be called."""
 
     @staticmethod
     def inlined(fn, d):
-        """fn(y, *consts) as the loop writes it: its inlined lines in a function."""
-        consts, source = _inline_formula(fn, d)
+        """fn(y, *consts) as the loop writes it: its traced lines in a function."""
+        consts, source = _trace(fn, d)
         comma = "," if d == 1 else ""
         lines = [
             "def inlined(y, consts):",
             "    " + ", ".join(f"z{i}" for i in range(d)) + f"{comma} = y",
-            "    " + ", ".join("f_" + c for c in consts) + f"{',' if len(consts) == 1 else ''} = consts",
+            "    " + ", ".join(consts) + f"{',' if len(consts) == 1 else ''} = consts",
         ]
         lines += ["    " + line for line in source.format(local="z", out="k").splitlines()]
         lines.append("    return [" + ", ".join(f"k{i}" for i in range(d)) + "]")
         namespace = {}
         exec("\n".join(lines), namespace)
         return namespace["inlined"]
+
+    @staticmethod
+    def route(kernel, y0):
+        """The file name of the kernel's loop, which steps as the reference loop does."""
+        cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10)
+        new, ref = (stepper(kernel, 0.0, list(y0), cfg) for stepper in (_Dp54Stepper, _ReferenceStepper))
+        for stepper in (new, ref):
+            stepper.step_to(3.0)
+        assert new.steps_taken > 10 and _stepper_state(new) == _stepper_state(ref)
+        return new.loop.__code__.co_filename
 
     def test_model_formulas_inline_to_their_calls(self):
         rng = np.random.default_rng(5)
@@ -797,52 +834,54 @@ class TestInlinedFormula:
                 want = np.array(kernel(0.0, y))
                 assert np.array(inlined(y, consts)).tobytes() == want.tobytes()
 
-    def test_source_that_is_not_the_code_is_called(self, tmp_path):
-        """A formula whose file no longer holds the code it was imported with
-        (edited or deleted since) is called at every stage, not inlined, and
-        gives the reference loop's bits."""
-        path = tmp_path / "edited_formula.py"
-        text = "def rhs(y, a):\n    (x,) = y\n    return [a * x - {} * x * x]\n"
-        path.write_text(text.format("0.5"))
-        spec = importlib.util.spec_from_file_location("edited_formula", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        assert _inline_formula(module.rhs, 1) is not None
-        path.write_text(text.format("0.25"))  # another straight-line formula
-        assert _inline_formula(module.rhs, 1) is None
-        kernel = _formula_kernel(module.rhs, 1.3)
-        cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10)
-        new, ref = (stepper(kernel, 0.0, [0.2], cfg) for stepper in (_Dp54Stepper, _ReferenceStepper))
-        assert new.loop.__code__.co_filename == "<DP54 step loop, d = 1, kernel calls>"
-        for stepper in (new, ref):
-            stepper.step_to(3.0)
-        assert new.steps_taken > 10 and _stepper_state(new) == _stepper_state(ref)
-        path.write_text("def rhs(y, a):\n    if a > 0.0:\n        a = -a\n    return [a * y[0]]\n")
-        assert _inline_formula(module.rhs, 1) is None  # not straight-line, and not the code
-        path.unlink()
-        assert _inline_formula(module.rhs, 1) is None
+    def test_formula_without_a_source_file_inlines(self):
+        """A formula compiled from a string has no source to read; its trace
+        is written into the loop all the same."""
+        namespace = {}
+        exec("def rhs(y, a, b):\n    (x,) = y\n    return [a * x - b * x * x]\n", namespace)
+        kernel = _formula_kernel(namespace["rhs"], 1.3, 0.7)
+        assert self.route(kernel, [0.2]) == "<DP54 step loop, d = 1, rhs>"
 
-    @pytest.mark.parametrize(
-        "fn, why",
-        [
-            pytest.param(_bad_calls, "'math.sin(a * x)' is not arithmetic", id="calls"),
-            pytest.param(
-                _bad_branches, "'if x > 0.0:\\n    v = -v' is not an assignment to new names", id="branches"
-            ),
-            pytest.param(_bad_ternary, "'-a * x if x > 0.0 else a * x' is not arithmetic", id="ternary"),
-            pytest.param(_bad_rebinds, "'x = a * x' is not an assignment to new names", id="rebinds"),
-            pytest.param(_bad_indexes, "its first statement must unpack y", id="indexes"),
-            pytest.param(_bad_tuple, "its last statement must return a list", id="tuple"),
-            pytest.param(_bad_augments, "'g += 1.0' is not an assignment to new names", id="augments"),
-        ],
-    )
-    def test_not_straight_line_raises_at_generation(self, fn, why):
-        kernel = _formula_kernel(fn, 2.0)
-        field = lambda t, y: np.array(kernel(t, list(y)))  # noqa: E731
-        field.kernel = kernel
-        message = f"{fn.__name__} is not a straight-line field formula: {why}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            integrate(field, np.array([0.5, 0.1]), 0.0, 1.0, 0.5, IntegratorConfig())
+    def test_grouping_is_kept(self):
+        """A right operand, or a negated one, that is a sum or a product of
+        its own keeps its parentheses."""
+
+        def rhs(y, a):
+            x, v = y
+            return [a - (x - v) - -(x + v), a * (x * v) - (x - (v - a * x)) * -(v * v)]
+
+        inlined = self.inlined(rhs, 2)
+        for y in np.random.default_rng(6).normal(size=(50, 2)).tolist():
+            assert np.array(inlined(y, [1.5])).tobytes() == np.array(rhs(y, 1.5)).tobytes()
+
+    def test_long_sum_inlines(self):
+        """A sum of 300 terms is written without nested parentheses, of which
+        the parser takes at most 200."""
+
+        def rhs(y, a):
+            (x,) = y
+            return [sum(a * x * k for k in range(300))]
+
+        assert "kernel calls" not in self.route(_formula_kernel(rhs, -1e-5), [0.2])
+
+    @pytest.mark.parametrize("fn", [_equals_rhs, _truth_rhs], ids=["equals", "truth"])
+    def test_formula_that_tests_a_value_is_called(self, fn):
+        """x == 0.0 and `if x:` raise TypeError on a stand-in, so the loop
+        calls the kernel at each stage."""
+        assert _trace(fn, 2) is None
+        assert self.route(_formula_kernel(fn, 2.0), [0.5, 0.1]) == "<DP54 step loop, d = 2, kernel calls>"
+
+    def test_stand_in_refuses_all_but_arithmetic(self):
+        """Only +, - and * with stand-ins, ints and finite floats are recorded."""
+        x = integrator._Traced("x", tape=[])
+        assert (np.float64(2.0) * x).args[0].text == "2.0"
+        for refused in [
+            lambda: x < 1.0, lambda: x == x, lambda: x != 1.0, lambda: bool(x), lambda: hash(x),
+            lambda: x / 2.0, lambda: x ** 2, lambda: abs(x), lambda: x * math.inf,
+            lambda: x + np.float32(1.0), lambda: math.sqrt(x), lambda: np.sqrt(x), lambda: 1j * x,
+        ]:
+            with pytest.raises(TypeError):
+                refused()
 
 
 def _goes_bad(component, value, t_bad):
@@ -1291,7 +1330,8 @@ class TestEvents:
         assert events.sample_slot[k + 1] == 3 and events.renorm_slot[k + 1] == -1
 
     def test_validates_window_and_steps(self):
-        for args in [(1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, None, 0.0)]:
+        for args in [(1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, None, 0.0),
+                     (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)]:
             with pytest.raises(ValueError):
                 _Events(*args)
         assert _Events(0.0, 1.0).times.size == 0
