@@ -95,9 +95,9 @@ class ScanRecord:
 class ScanSettings:
     """Per-point run settings shared by every entry of a parameter scan.
 
-    The window, the stride, the renorm interval and the worker count (None:
-    one per CPU) are checked when the settings are made, so a bad value
-    stops a scan before any point runs.
+    The window, the stride, the renorm interval, the two thresholds and the
+    worker count (None: one per CPU) are checked when the settings are made,
+    so a bad value stops a scan before any point runs.
     """
 
     y0: tuple
@@ -113,6 +113,8 @@ class ScanSettings:
     def __post_init__(self):
         _check_window(self.t_transient, self.t_total)
         _check_schedule(self.t_transient, self.t_total, self.out_stride, self.renorm_interval)
+        if not (self.eps_zero >= 0.0 and self.extrema_cap >= 0):
+            raise ValueError("eps_zero and extrema_cap must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
 

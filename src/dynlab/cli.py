@@ -7,6 +7,17 @@ described by one JSON document; --set overrides single keys via dotted paths
 half-written result.  Identical config + seed reproduces outputs byte for
 byte.
 
+The whole config is checked before any command creates its output
+directory, every section whatever the command, because one config document
+serves every command: every number must be finite; times.t_transient,
+verify.samples, reduce.zero_tol, scan.extrema_cap and scan.eps_zero must be
+>= 0; times.t_total, times.out_stride, lyapunov.renorm_interval and
+verify.horizon must be > 0; the integrator section must make an
+IntegratorConfig.  So `verify` refuses times.out_stride = 0, which it does
+not read.  A command then checks only what is its own: lyapunov's
+t_total > t_transient, scan's flags, its window and a reduced start for a
+K-scan, and E != 0 for equilibrium.
+
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration blow-up (partial trajectory kept with a
 .partial suffix); 5 initial state not on a limit set (reduce).
@@ -24,13 +35,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .analysis import (
-    ScanSettings,
-    _check_window,
-    equilibrium_stability,
-    lyapunov_spectrum,
-    parameter_scan,
-)
+from .analysis import ScanSettings, equilibrium_stability, lyapunov_spectrum, parameter_scan
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -40,7 +45,7 @@ from .errors import (
     NotOnLimitSetError,
     RatioInconsistencyError,
 )
-from .integrator import IntegratorConfig, _check_schedule, integrate
+from .integrator import IntegratorConfig, integrate
 from .invariants import verification_suite
 from .model import Params, equilibrium, full_system, lift, reduced_system
 from .reduction import compare_full_vs_reduced, k_drift
@@ -66,6 +71,15 @@ _DEFAULTS = {
     "scan": {"extrema_cap": 64, "eps_zero": 1e-3},
     "seed": 0,
     "output": {"directory": ".", "format": "csv"},
+}
+
+# The range of each number that has one; the others may take any finite value.
+_RANGES = {
+    "times": {"t_transient": ">= 0", "t_total": "> 0", "out_stride": "> 0"},
+    "lyapunov": {"renorm_interval": "> 0"},
+    "verify": {"samples": ">= 0", "horizon": "> 0"},
+    "reduce": {"zero_tol": ">= 0"},
+    "scan": {"extrema_cap": ">= 0", "eps_zero": ">= 0"},
 }
 
 _STATE_VARIANTS = ("full", "reduced", "equilibrium_offset", "random")
@@ -109,7 +123,8 @@ def _as_kind(value, default, where: str):
 
 
 def normalize_config(raw: dict) -> dict:
-    """Validate a raw config dict and fill defaults; rejects unknown keys.
+    """Validate a raw config dict and fill defaults; rejects unknown keys, a
+    number out of its range (`_RANGES`) and an invalid integrator section.
 
     The returned dict is complete and JSON-stable: writing it back out and
     re-parsing reproduces the same run.  A top-level "stats" key (written by
@@ -176,7 +191,15 @@ def normalize_config(raw: dict) -> dict:
         merged = dict(defaults)
         for k, v in given.items():
             merged[k] = _as_kind(v, defaults[k], f"{section}.{k}")
+        for k, rule in _RANGES.get(section, {}).items():
+            v = merged[k]
+            if v is not None and not (v > 0 if rule == "> 0" else v >= 0):
+                raise ConfigError(f"{section}.{k} must be {rule}, got {v!r}")
         cfg[section] = merged
+    try:
+        IntegratorConfig(**cfg["integrator"])
+    except ValueError as exc:
+        raise ConfigError(f"integrator: {exc}") from exc
 
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
@@ -218,36 +241,17 @@ def apply_overrides(raw: dict, sets: list[str]) -> dict:
     return raw
 
 
-def _params(cfg: dict) -> Params:
-    q = cfg["params"]
-    return Params(C=q["C"], D=q["D"], E=q["E"], F=q["F"])
-
-
-def _integrator_config(cfg: dict) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(**cfg["integrator"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _rng(cfg: dict) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(cfg["seed"]))
-
-
-def resolve_initial_state(cfg: dict):
+def resolve_initial_state(cfg: dict, p: Params):
     """Return (y0 array, kind) with kind 'full' or ('reduced', K)."""
     state = cfg["initial_state"]
     if "full" in state:
         return np.array(state["full"], dtype=float), "full"
     if "reduced" in state:
         return np.array(state["reduced"], dtype=float), ("reduced", state["K"])
-    if "equilibrium_offset" in state:
-        p = _params(cfg)
-        if p.E == 0.0:
-            raise ConfigError("equilibrium-relative initial state requires E != 0")
+    if "equilibrium_offset" in state:  # equilibrium(p) refuses E = 0
         return equilibrium(p) + np.array(state["equilibrium_offset"], dtype=float), "full"
     box = state["random"]["box"]
-    rng = _rng(cfg)
+    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     if isinstance(box[0], list):
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
@@ -322,29 +326,22 @@ def _write_trajectory(directory: str, cfg: dict, traj, partial: bool = False) ->
             indent=2,
             sort_keys=True,
         ) + "\n"
-    path = os.path.join(directory, name)
-    if partial:
-        with open(path + ".partial", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        return path + ".partial"
+    path = os.path.join(directory, name + (".partial" if partial else ""))
     _write_text(path, text)
     return path
 
 
 # --- commands ---------------------------------------------------------------
 
+# Each command takes the checked config, the Params, IntegratorConfig and
+# initial state (y0, kind) built from it, and the parsed arguments.
 
-def cmd_simulate(cfg: dict, out_override: str | None) -> int:
-    p = _params(cfg)
-    icfg = _integrator_config(cfg)
-    y0, kind = resolve_initial_state(cfg)
+
+def cmd_simulate(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
-    t_total = cfg["times"]["t_total"]
-    stride = cfg["times"]["out_stride"]
-    _check_schedule(0.0, t_total, stride)
-    directory = _out_dir(cfg, out_override)
+    directory = _out_dir(cfg, args.out)
     try:
-        traj = integrate(system.field, y0, 0.0, t_total, stride, icfg)
+        traj = integrate(system.field, y0, 0.0, cfg["times"]["t_total"], cfg["times"]["out_stride"], icfg)
     except IntegrationError as exc:
         partial = getattr(exc, "partial_traj", None)
         diag = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
@@ -359,13 +356,9 @@ def cmd_simulate(cfg: dict, out_override: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out_override: str | None) -> int:
-    p = _params(cfg)
-    icfg = _integrator_config(cfg)
+def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
     v = cfg["verify"]
-    if not (v["samples"] >= 0 and v["horizon"] > 0.0):
-        raise ConfigError("require verify.samples >= 0 and verify.horizon > 0")
-    directory = _out_dir(cfg, out_override)
+    directory = _out_dir(cfg, args.out)
     reports = verification_suite(
         p,
         seed=cfg["seed"],
@@ -382,16 +375,11 @@ def cmd_verify(cfg: dict, out_override: str | None) -> int:
     return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_VERIFY_FAILED
 
 
-def cmd_reduce(cfg: dict, out_override: str | None) -> int:
-    p = _params(cfg)
-    icfg = _integrator_config(cfg)
-    y0, kind = resolve_initial_state(cfg)
+def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
     if kind != "full":
         y0 = lift(y0, kind[1])
-    t_total = cfg["times"]["t_total"]
-    stride = cfg["times"]["out_stride"]
-    _check_schedule(0.0, t_total, stride)
-    directory = _out_dir(cfg, out_override)
+    directory = _out_dir(cfg, args.out)
+    t_total, stride = cfg["times"]["t_total"], cfg["times"]["out_stride"]
     zero_tol = cfg["reduce"]["zero_tol"]
     try:
         comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
@@ -419,16 +407,13 @@ def cmd_reduce(cfg: dict, out_override: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_lyapunov(cfg: dict, out_override: str | None) -> int:
-    p = _params(cfg)
-    icfg = _integrator_config(cfg)
-    y0, kind = resolve_initial_state(cfg)
+def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
     t_transient, t_total = cfg["times"]["t_transient"], cfg["times"]["t_total"]
     renorm_interval = cfg["lyapunov"]["renorm_interval"]
-    _check_window(t_transient, t_total)
-    _check_schedule(t_transient, t_total, renorm_interval=renorm_interval)
-    directory = _out_dir(cfg, out_override)
+    if not t_total > t_transient:
+        raise ConfigError("lyapunov requires times.t_total > times.t_transient")
+    directory = _out_dir(cfg, args.out)
     report = lyapunov_spectrum(system, y0, t_transient, t_total, renorm_interval, icfg)
     d = system.dim
     header = ["t"] + [f"lambda{i + 1}" for i in range(d)]
@@ -460,14 +445,11 @@ plot "scan_extrema.csv" every ::1 using 1:2 with dots lc rgb "black"
 """
 
 
-def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
-    p = _params(cfg)
-    icfg = _integrator_config(cfg)
+def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
     param = args.param
-    y0, kind = resolve_initial_state(cfg)
     if param == "K":
         if kind == "full":
-            raise ConfigError("a K-scan needs a reduced initial_state")
+            raise ConfigError("a K-scan (--param K) needs a reduced initial_state")
         dim = 3
     else:
         if kind != "full":
@@ -490,7 +472,7 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
         values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     if not np.all(np.isfinite(values)):
         raise ConfigError("--min and --max must give finite scan values")
-    directory = _out_dir(cfg, out_override)
+    directory = _out_dir(cfg, args.out)
     records = parameter_scan(p, param, values, args.policy, settings)
 
     header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(dim)]
@@ -512,20 +494,24 @@ def cmd_scan(cfg: dict, out_override: str | None, args) -> int:
     return EXIT_OK
 
 
-def cmd_equilibrium(cfg: dict, out_override: str | None) -> int:
-    p = _params(cfg)
-    if p.E == 0.0:
-        raise ConfigError("equilibrium requires E != 0")
-    directory = _out_dir(cfg, out_override)
-    y_eq = equilibrium(p)
-    eig = equilibrium_stability(p)
-    payload = {
-        "equilibrium": [float(v) for v in y_eq],
-        "eigenvalues": [{"re": float(w.real), "im": float(w.imag)} for w in eig],
+def cmd_equilibrium(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
+    payload = {  # equilibrium(p) refuses E = 0 before the output directory is made
+        "equilibrium": [float(v) for v in equilibrium(p)],
+        "eigenvalues": [{"re": float(w.real), "im": float(w.imag)} for w in equilibrium_stability(p)],
     }
-    _write_json(os.path.join(directory, "equilibrium_report.json"), payload)
+    _write_json(os.path.join(_out_dir(cfg, args.out), "equilibrium_report.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
+
+
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "verify": cmd_verify,
+    "reduce": cmd_reduce,
+    "lyapunov": cmd_lyapunov,
+    "scan": cmd_scan,
+    "equilibrium": cmd_equilibrium,
+}
 
 
 # --- entry point -------------------------------------------------------------
@@ -537,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify the averaged pendulum-motor system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "verify", "reduce", "lyapunov", "scan", "equilibrium"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON run config")
         sp.add_argument(
@@ -569,19 +555,10 @@ def main(argv=None) -> int:
         print(f"dynlab: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        raw = apply_overrides(raw, args.sets)
-        cfg = normalize_config(raw)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.out)
-        if args.command == "reduce":
-            return cmd_reduce(cfg, args.out)
-        if args.command == "lyapunov":
-            return cmd_lyapunov(cfg, args.out)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.out, args)
-        return cmd_equilibrium(cfg, args.out)
+        cfg = normalize_config(apply_overrides(raw, args.sets))
+        p = Params(**cfg["params"])
+        y0, kind = resolve_initial_state(cfg, p)
+        return _COMMANDS[args.command](cfg, p, IntegratorConfig(**cfg["integrator"]), y0, kind, args)
     except (ConfigError, DegenerateParametersError, ValueError) as exc:
         print(f"dynlab: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

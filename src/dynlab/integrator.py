@@ -25,9 +25,10 @@ The DP54 step loop is generated once per dimension d and field formula
 locals, and each component is written out with the expression a loop over
 components would use, in the same order, so it gives that loop's bits.  What
 a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes, traced
-once on stand-in numbers (`_trace`), is written into every stage, so all
-systems of one formula share one loop; any other kernel, or a formula that
-branches on its values or calls a function, is called at each, same bits.
+once on stand-in numbers (`_trace`, one per constant), is written into every
+stage, so all systems of one formula and constant count share one loop; any
+other kernel, or a formula that branches on its values or calls a function,
+is called at each, same bits.
 
 Every run follows one schedule (`_Events`, a numpy table of stops): it steps
 exactly onto each sample time and, on a tangent run, each renorm time, where
@@ -253,14 +254,15 @@ class _Traced:
     __bool__ = __eq__ = __ne__ = __hash__ = None  # not available: TypeError, as for <, <=, >, >=
 
 
-def _trace(fn, d: int):
+def _trace(fn, d: int, n_consts: int):
     """(constant names, source) of what a field formula fn(y, *constants)
-    computes on `_Traced` stand-ins, or None (call fn) if that run raises or
-    gives other than d stand-ins.  The source binds {out}0, ... to the field at
-    {local}0, ..., which str.format names; a value used twice is a local."""
+    with n_consts constants computes on `_Traced` stand-ins, or None (call
+    fn) if that run raises or gives other than d stand-ins.  The source binds
+    {out}0, ... to the field at {local}0, ..., which str.format names; a value
+    used twice is a local."""
     tape = []
     try:
-        consts = [f"f_c{i}" for i in range(fn.__code__.co_argcount - 1)]
+        consts = [f"f_c{i}" for i in range(n_consts)]
         state = [_Traced("{local}%d" % i, tape=tape) for i in range(d)]
         out = list(fn(state, *(_Traced(c, tape=tape) for c in consts)))
     except Exception:
@@ -323,10 +325,11 @@ def step_to(self, t_target):
 
 
 @functools.lru_cache(maxsize=None)
-def _dp54_loop(d: int, formula):
-    """`_LOOP` on d-vectors for a field formula (None: call the kernel), its
-    attempt written out per component with the tableau's floats inlined and
-    the squared error terms summed in component order."""
+def _dp54_loop(d: int, formula, n_consts: int):
+    """`_LOOP` on d-vectors for a field formula with n_consts constants
+    (None: call the kernel), its attempt written out per component with the
+    tableau's floats inlined and the squared error terms summed in component
+    order."""
 
     def each(fmt, sep="\n"):
         return sep.join(fmt.format(i=i) for i in range(d))
@@ -339,7 +342,7 @@ def _dp54_loop(d: int, formula):
 
     call = f"f = kernel({{ts}}, [{row('{local}')}])\ntry:\n    {row('{out}')} = f\n"
     call += f"except ValueError:\n    raise _mismatch(f, {d}) from None"
-    inline = _trace(formula, d) if formula else None
+    inline = _trace(formula, d, n_consts) if formula else None
     consts, field = inline or ([], call)
 
     last_state = f"last_state=np.array([{row('y_')}])"
@@ -383,7 +386,7 @@ class _Dp54Stepper:
         self.y = y0
         self.refresh_derivative()
         formula, self.consts = getattr(kernel, "formula", (None, ()))
-        self.loop = _dp54_loop(len(y0), formula)
+        self.loop = _dp54_loop(len(y0), formula, len(self.consts))
         self.h_prop = min(cfg.h_init, cfg.h_max)
         self.steps_taken = 0
         self.steps_rejected = 0
@@ -831,12 +834,13 @@ def _columns(callables):
     """The column kernel ``(t, cols) -> columns`` of a block of systems, or None.
 
     Each callable's kernel must carry ``formula = (fn, constants)`` with one
-    and the same fn (see `model`); the column kernel runs fn on the state as
-    d numpy columns with constant k as the column of the members' k-th
-    constants, so entry i gets the bits of member i's own kernel.
+    and the same fn and number of constants (see `model`); the column kernel
+    runs fn on the state as d numpy columns with constant k as the column of
+    the members' k-th constants, so entry i gets the bits of member i's own
+    kernel.
     """
     formulas = [getattr(getattr(f, "kernel", None), "formula", None) for f in callables]
-    if None in formulas or len({fn for fn, _ in formulas}) != 1:
+    if None in formulas or len({(fn, len(c)) for fn, c in formulas}) != 1:
         return None
     fn = formulas[0][0]
     constants = tuple(np.array(column, dtype=float) for column in zip(*(c for _, c in formulas)))

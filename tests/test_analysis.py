@@ -305,6 +305,13 @@ class TestParameterScan:
         with pytest.raises(ValueError, match="finite"):
             ScanSettings(y0=(1.0,) * 5, t_transient=10.0, t_total=math.inf)
 
+    @pytest.mark.parametrize("bad", [{"eps_zero": -1e-3}, {"extrema_cap": -1}], ids=["eps_zero", "extrema_cap"])
+    def test_settings_refuse_negative_thresholds(self, bad):
+        """A negative eps_zero would label every point above it chaotic, and a
+        negative cap would drop every extremum."""
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ScanSettings(y0=(1.0,) * 5, t_transient=10.0, t_total=20.0, **bad)
+
     def test_diverged_point_recorded_and_scan_continues(self):
         """A failing point is marked diverged with empty extrema; neighbours
         still produce records."""

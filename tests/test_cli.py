@@ -302,32 +302,6 @@ class TestScan:
         )
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "param, steps, stride, workers",
-        [
-            pytest.param("K", "2", 0.1, "1", id="K-2"),
-            pytest.param("C", "-1", 0.1, "1", id="C--1"),
-            pytest.param("C", "1", -0.1, "1", id="out_stride=-0.1"),
-            pytest.param("C", "1", 0.0, "1", id="out_stride=0"),
-            pytest.param("C", "1", 0.1, "0", id="workers=0"),
-            pytest.param("C", "1", 0.1, "-3", id="workers=-3"),
-        ],
-    )
-    def test_rejected_scan_creates_no_directory(self, tmp_path, capsys, param, steps, stride, workers):
-        """A K-scan from a full start, a negative step count, an out_stride
-        that is not positive and a worker count below one exit 2 before the
-        output directory is made."""
-        times = {"t_transient": 20.0, "t_total": 80.0, "out_stride": stride}
-        cfg = self.scan_config(tmp_path, times=times)
-        out = tmp_path / "never"
-        code = main(
-            ["scan", "--config", cfg, "--out", str(out), "--param", param,
-             "--min", "-1.0", "--max", "1.0", f"--steps={steps}", f"--workers={workers}"]
-        )
-        assert code == 2
-        assert "dynlab: invalid config:" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_k_scan_reduced_state(self, tmp_path):
         cfg = self.scan_config(tmp_path, initial_state={"reduced": [0.4, -0.2, 0.1], "K": 0.0})
         out = tmp_path / "run"
@@ -360,65 +334,71 @@ class TestEquilibriumCmd:
         assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-STRIDE = "out_stride must be positive"
-WINDOW = "require t_total > t_transient"
-
-
-@pytest.mark.parametrize(
-    "command, times, lyapunov, message",
-    [
-        pytest.param("simulate", {"out_stride": 0.0}, {}, STRIDE, id="simulate-stride=0"),
-        pytest.param("simulate", {"out_stride": -1.0}, {}, STRIDE, id="simulate-stride=-1"),
-        pytest.param("reduce", {"out_stride": 0.0}, {}, STRIDE, id="reduce-stride=0"),
-        pytest.param("lyapunov", {"t_transient": 5.0}, {}, WINDOW, id="lyapunov-transient=total"),
-        pytest.param("lyapunov", {"t_transient": 8.0}, {}, WINDOW, id="lyapunov-transient>total"),
-        pytest.param(
-            "lyapunov", {}, {"renorm_interval": 0.0}, "renorm_interval must be positive",
-            id="lyapunov-renorm=0",
-        ),
-    ],
-)
-def test_rejected_times_create_no_directory(tmp_path, capsys, command, times, lyapunov, message):
-    """simulate, reduce and lyapunov check the times they use before the
-    output directory is made, as scan does."""
-    cfg = write_config(
-        tmp_path,
-        {
-            "initial_state": {"reduced": [0.5, 0.2, 0.0], "K": -1.0},
-            "times": {"t_transient": 0.0, "t_total": 5.0, "out_stride": 0.5, **times},
-            "lyapunov": lyapunov,
-        },
-    )
-    out = tmp_path / "never"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert f"dynlab: invalid config: {message}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-FINITE = "must be a finite number"
+# A config that every command runs: a K-plane start, a short window.
+VALID = {
+    "initial_state": {"reduced": [0.5, 0.2, 0.0], "K": -1.0},
+    "times": {"t_transient": 0.0, "t_total": 5.0, "out_stride": 0.5},
+}
+FULL_START = 'initial_state={"full": [0.5, -0.3, 0.2, 0.0, 0.0]}'
 FULL_NAN = 'initial_state={"full": [NaN, 0.0, 0.0, 0.0, 1.0]}'
-SCAN = ["scan", "--set", "times.t_transient=0", "--param", "C", "--steps=2"]
+
+
+def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
+    return ["scan", f"--param={param}", f"--min={lo}", f"--max={hi}", f"--steps={steps}", f"--workers={workers}"]
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "args, name",
     [
-        pytest.param(["simulate", "--set", "times.t_total=Infinity"], FINITE, id="simulate-t_total=Infinity"),
-        pytest.param(["lyapunov", "--set", "times.t_total=Infinity"], FINITE, id="lyapunov-t_total=Infinity"),
-        pytest.param(["simulate", "--set", "params.C=NaN"], FINITE, id="simulate-C=NaN"),
-        pytest.param(["simulate", "--set", FULL_NAN], FINITE, id="simulate-full=NaN"),
-        pytest.param(["verify", "--set", "verify.horizon=0"], "verify.horizon > 0", id="verify-horizon=0"),
-        pytest.param(["verify", "--set", "verify.samples=-1"], "verify.samples >= 0", id="verify-samples=-1"),
-        pytest.param(SCAN + ["--min=nan", "--max=1.0"], "finite scan values", id="scan-min=nan"),
-        pytest.param(SCAN + ["--min=-1e308", "--max=1e308"], "finite scan values", id="scan-range=overflow"),
+        pytest.param(scan_argv("K") + ["--set", FULL_START], "initial_state", id="K-2"),
+        pytest.param(scan_argv(steps="-1"), "--steps", id="C--1"),
+        pytest.param(scan_argv() + ["--set", "times.out_stride=-0.1"], "times.out_stride", id="out_stride=-0.1"),
+        pytest.param(scan_argv() + ["--set", "times.out_stride=0"], "times.out_stride", id="out_stride=0"),
+        pytest.param(scan_argv(workers="0"), "workers", id="workers=0"),
+        pytest.param(scan_argv(workers="-3"), "workers", id="workers=-3"),
+        pytest.param(scan_argv() + ["--set", "scan.eps_zero=-1"], "scan.eps_zero", id="scan-eps_zero=-1"),
+        pytest.param(scan_argv() + ["--set", "scan.extrema_cap=-1"], "scan.extrema_cap", id="scan-extrema_cap=-1"),
+        pytest.param(scan_argv(lo="nan"), "--min", id="scan-min=nan"),
+        pytest.param(scan_argv(lo="-1e308", hi="1e308"), "--min", id="scan-range=overflow"),
+        pytest.param(["simulate", "--set", "times.out_stride=0"], "times.out_stride", id="simulate-stride=0"),
+        pytest.param(["simulate", "--set", "times.out_stride=-1"], "times.out_stride", id="simulate-stride=-1"),
+        pytest.param(["simulate", "--set", "times.t_transient=-1"], "times.t_transient", id="simulate-transient=-1"),
+        pytest.param(["simulate", "--set", "times.t_total=Infinity"], "times.t_total", id="simulate-t_total=Infinity"),
+        pytest.param(["simulate", "--set", "params.C=NaN"], "params.C", id="simulate-C=NaN"),
+        pytest.param(["simulate", "--set", FULL_NAN], "initial_state.full", id="simulate-full=NaN"),
+        pytest.param(["reduce", "--set", "times.out_stride=0"], "times.out_stride", id="reduce-stride=0"),
+        pytest.param(["reduce", "--set", "reduce.zero_tol=-1"], "reduce.zero_tol", id="reduce-zero_tol=-1"),
+        pytest.param(["lyapunov", "--set", "times.t_transient=5"], "times.t_total", id="lyapunov-transient=total"),
+        pytest.param(["lyapunov", "--set", "times.t_transient=8"], "times.t_total", id="lyapunov-transient>total"),
+        pytest.param(
+            ["lyapunov", "--set", "lyapunov.renorm_interval=0"], "lyapunov.renorm_interval", id="lyapunov-renorm=0"
+        ),
+        pytest.param(["lyapunov", "--set", "times.t_total=Infinity"], "times.t_total", id="lyapunov-t_total=Infinity"),
+        pytest.param(["verify", "--set", "verify.horizon=0"], "verify.horizon", id="verify-horizon=0"),
+        pytest.param(["verify", "--set", "verify.samples=-1"], "verify.samples", id="verify-samples=-1"),
+        pytest.param(["verify", "--set", "times.out_stride=0"], "times.out_stride", id="verify-stride=0"),
+        pytest.param(["equilibrium", "--set", "integrator.h_min=1"], "h_min", id="equilibrium-h_min=1"),
+        pytest.param(["equilibrium", "--set", "params.E=0"], "E = 0", id="equilibrium-E=0"),
     ],
 )
-def test_rejected_values_create_no_directory(tmp_path, capsys, args, message):
-    """Python's json reads NaN and Infinity, which strict JSON has not; they,
-    verify's own settings and scan's range are refused before the output
-    directory is made."""
+def test_rejected_config_creates_no_directory(tmp_path, capsys, args, name):
+    """Every command checks every section of the config, including those it
+    does not read, then its own flags and window, before the output directory
+    is made.  Python's json reads NaN and Infinity, which strict JSON has not."""
     out = tmp_path / "never"
-    assert main(args + ["--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert main(args + ["--config", write_config(tmp_path, VALID), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("dynlab: invalid config:") and message in err
+    assert err.startswith("dynlab: invalid config:") and name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["simulate"], ["verify"], ["reduce"], ["lyapunov"], scan_argv(), ["equilibrium"]],
+    ids=lambda args: args[0],
+)
+def test_unwritable_output_exits_3(tmp_path, capsys, args):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub"  # a path below a regular file, since a root user may write anywhere
+    assert main(args + ["--config", write_config(tmp_path, VALID), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("dynlab: cannot write output:")

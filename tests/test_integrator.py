@@ -51,6 +51,7 @@ from dynlab.integrator import (
 from dynlab.model import (
     Params,
     _full_rhs,
+    _kernel_system,
     _reduced_rhs,
     full_system,
     reduced_system,
@@ -579,6 +580,17 @@ def _augmenting_rhs(y, a):
     return [v, -g]
 
 
+def _defaulted_rhs(y, a, b=2.0):
+    """A 2-D field formula whose second constant has a default."""
+    x, v = y
+    return [v, -a * x - b * x * x * x - 0.1 * v]
+
+
+def _defaulted_jac(y, a, b=2.0):
+    x, v = y
+    return [0.0 * x, 1.0 + 0.0 * x, -a - 3.0 * b * x * x, -0.1 + 0.0 * x]
+
+
 def _numpy_scalar_rhs(y, a):
     """A formula whose literals are numpy scalars."""
     (x,) = y
@@ -686,7 +698,8 @@ class TestGeneratedAttempt:
             cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10, h_init=0.8, h_max=0.8)
             new = _Dp54Stepper(kernel, 0.0, list(y0), cfg)
             ref = _ReferenceStepper(kernel, 0.0, list(y0), cfg)
-            assert new.loop is _dp54_loop(d, getattr(kernel, "formula", (None,))[0])
+            fn, consts = getattr(kernel, "formula", (None, ()))
+            assert new.loop is _dp54_loop(d, fn, len(consts))
             assert ("kernel calls" in new.loop.__code__.co_filename) != name.startswith("inline"), name
             errors, reached = [], 0
 
@@ -765,8 +778,9 @@ class TestGeneratedAttempt:
         }
 
     def test_generated_once_per_dimension(self):
-        """One loop per (d, formula) per process, shared by every system of a
-        formula whatever its constants; none is generated at import."""
+        """One loop per (d, formula, constant count) per process, shared by
+        every system of a formula whatever its constants' values; none is
+        generated at import."""
         rng = np.random.default_rng(4)
         _dp54_loop.cache_clear()
         systems = [full_system(_random_params(rng)) for _ in range(3)]
@@ -775,9 +789,9 @@ class TestGeneratedAttempt:
         }
         for s in systems:
             integrate(s.field, np.full(5, 0.1), 0.0, 1.0, 0.5, IntegratorConfig())
-        assert loops == {_dp54_loop(5, _full_rhs)}
+        assert loops == {_dp54_loop(5, _full_rhs, 4)}
         assert _dp54_loop.cache_info().misses == 1
-        assert len({_dp54_loop(5, None), _dp54_loop(3, _reduced_rhs), _dp54_loop(5, _full_rhs)}) == 3
+        assert len({_dp54_loop(5, None, 0), _dp54_loop(3, _reduced_rhs, 5), _dp54_loop(5, _full_rhs, 4)}) == 3
         assert _dp54_loop.cache_info().misses == 3
         code = "import dynlab, dynlab.cli; print(dynlab.integrator._dp54_loop.cache_info().currsize)"
         out = subprocess.run(
@@ -792,9 +806,9 @@ class TestInlinedFormula:
     and leaves a formula that branches on its values to be called."""
 
     @staticmethod
-    def inlined(fn, d):
+    def inlined(fn, d, n_consts):
         """fn(y, *consts) as the loop writes it: its traced lines in a function."""
-        consts, source = _trace(fn, d)
+        consts, source = _trace(fn, d, n_consts)
         comma = "," if d == 1 else ""
         lines = [
             "def inlined(y, consts):",
@@ -827,7 +841,7 @@ class TestInlinedFormula:
         for kernel in kernels:
             fn, consts = kernel.formula
             d = 5 if fn is _full_rhs else 3
-            inlined = self.inlined(fn, d)
+            inlined = self.inlined(fn, d, len(consts))
             for _ in range(50):
                 mag = 10.0 ** rng.uniform(-170.0, 12.0, size=d)
                 y = (rng.choice([-1.0, 1.0], size=d) * mag * rng.uniform(1.0, 10.0, size=d)).tolist()
@@ -850,7 +864,7 @@ class TestInlinedFormula:
             x, v = y
             return [a - (x - v) - -(x + v), a * (x * v) - (x - (v - a * x)) * -(v * v)]
 
-        inlined = self.inlined(rhs, 2)
+        inlined = self.inlined(rhs, 2, 1)
         for y in np.random.default_rng(6).normal(size=(50, 2)).tolist():
             assert np.array(inlined(y, [1.5])).tobytes() == np.array(rhs(y, 1.5)).tobytes()
 
@@ -864,11 +878,19 @@ class TestInlinedFormula:
 
         assert "kernel calls" not in self.route(_formula_kernel(rhs, -1e-5), [0.2])
 
+    def test_formula_with_a_default_constant_inlines_per_constant_count(self):
+        """A formula whose last constant has a default is traced with as many
+        constants as its kernel passes, in a loop of its own per count."""
+        for consts in [(1.5,), (1.5, 0.5)]:
+            kernel = _formula_kernel(_defaulted_rhs, *consts)
+            assert self.route(kernel, [0.5, 0.1]) == "<DP54 step loop, d = 2, _defaulted_rhs>"
+        assert _dp54_loop(2, _defaulted_rhs, 1) is not _dp54_loop(2, _defaulted_rhs, 2)
+
     @pytest.mark.parametrize("fn", [_equals_rhs, _truth_rhs], ids=["equals", "truth"])
     def test_formula_that_tests_a_value_is_called(self, fn):
         """x == 0.0 and `if x:` raise TypeError on a stand-in, so the loop
         calls the kernel at each stage."""
-        assert _trace(fn, 2) is None
+        assert _trace(fn, 2, 1) is None
         assert self.route(_formula_kernel(fn, 2.0), [0.5, 0.1]) == "<DP54 step loop, d = 2, kernel calls>"
 
     def test_stand_in_refuses_all_but_arithmetic(self):
@@ -1133,6 +1155,23 @@ class TestTangentBlock:
         with pytest.raises(InvalidStateError):
             integrate_tangent_block(fields, jacobians, skew, 0.0, 1.0, 1.0, cfg)
         assert self.blocks == 0
+
+    def test_formulas_with_other_constant_counts_run_on_their_own(self, monkeypatch):
+        """Ten members of one formula, five passing one constant and five
+        two, are not one block; each gets its own run's bits."""
+        monkeypatch.setattr(integrator, "_MIN_BATCH", 10)
+        consts = [(a,) for a in (0.5, 1.0, 1.5, 2.0, 2.5)] + [(a, 0.5) for a in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        systems = [_kernel_system((_defaulted_rhs, c), (_defaulted_jac, c), 2) for c in consts]
+        fields, jacobians = [s.field for s in systems], [s.jacobian for s in systems]
+        bundle = TangentBundle(base=np.array([0.5, 0.1]), frame=np.eye(2))
+        cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9)
+        block = integrate_tangent_block(fields, jacobians, [bundle] * 10, 0.0, 10.0, 1.0, cfg, 0.5)
+        assert self.blocks == 0
+        for field, jacobian, outcome in zip(fields, jacobians, block):
+            _assert_same_outcome(
+                outcome,
+                lambda: integrate_with_tangents(field, jacobian, bundle, 0.0, 10.0, 1.0, cfg, 0.5),
+            )
 
     @pytest.mark.parametrize("route", ["fixed-RK4", "no formula"])
     def test_members_the_block_cannot_take_run_on_their_own(self, route):
