@@ -37,7 +37,7 @@ from .integrator import (
     IntegratorConfig,
     TangentBundle,
     Trajectory,
-    _check_schedule,
+    check_schedule,
     integrate,
     integrate_tangent_block,
 )
@@ -112,7 +112,7 @@ class ScanSettings:
 
     def __post_init__(self):
         _check_window(self.t_transient, self.t_total)
-        _check_schedule(self.t_transient, self.t_total, self.out_stride, self.renorm_interval)
+        check_schedule(self.t_transient, self.t_total, self.out_stride, self.renorm_interval)
         if not (self.eps_zero >= 0.0 and self.extrema_cap >= 0):
             raise ValueError("eps_zero and extrema_cap must be >= 0")
         if self.workers is not None and self.workers < 1:
@@ -147,7 +147,7 @@ def _spectra(
     its own transient, then the tangent runs of all the systems that
     survived it through `integrate_tangent_block`."""
     _check_window(t_transient, t_total)
-    _check_schedule(t_transient, t_total, out_stride, renorm_interval)
+    check_schedule(t_transient, t_total, out_stride, renorm_interval)
     outcomes, members, bundles = [None] * len(systems), [], []
     for i, (system, seed) in enumerate(zip(systems, seeds)):
         try:

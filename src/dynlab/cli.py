@@ -45,7 +45,7 @@ from .errors import (
     NotOnLimitSetError,
     RatioInconsistencyError,
 )
-from .integrator import IntegratorConfig, integrate
+from .integrator import IntegratorConfig, check_schedule, integrate
 from .invariants import verification_suite
 from .model import Params, equilibrium, full_system, lift, reduced_system
 from .reduction import compare_full_vs_reduced, k_drift
@@ -200,6 +200,11 @@ def normalize_config(raw: dict) -> dict:
         IntegratorConfig(**cfg["integrator"])
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from exc
+    times = cfg["times"]
+    try:  # the sample and renorm times of a run over the whole window must fit in memory
+        check_schedule(0.0, times["t_total"], times["out_stride"], cfg["lyapunov"]["renorm_interval"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:

@@ -18,7 +18,9 @@ any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
 ``f(t, np.array(y)).ravel().tolist()``.  The kernel and the field compute the
 same formula, so both routes give bitwise-identical results.  The same holds
 for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
-tangent frame is formed from those entries by one routine either way.
+tangent frame is formed from those entries by one routine either way (`_jq`:
+each entry a float sum over k in a fixed order, so it does not depend on the
+BLAS kernel; only the QR of a renorm does).
 
 The DP54 step loop is generated once per dimension d and field formula
 (`_dp54_loop`), as `dataclasses` builds its methods: its state lives in
@@ -28,7 +30,9 @@ a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes, traced
 once on stand-in numbers (`_trace`, one per constant), is written into every
 stage, so all systems of one formula and constant count share one loop; any
 other kernel, or a formula that branches on its values or calls a function,
-is called at each, same bits.
+is called at each, same bits.  The tangent kernel of a field and a Jacobian
+that both carry a formula carries one too (`_tangent_formula`), so a tangent
+run writes f, J and J*Q into its loop.
 
 Every run follows one schedule (`_Events`, a numpy table of stops): it steps
 exactly onto each sample time and, on a tangent run, each renorm time, where
@@ -46,11 +50,11 @@ DP54 members whose kernels share one formula advance together as one
 step size, accept/reject decision, counters and budget.  The stages run over
 the block with the scalar stepper's expressions in the same order, each
 member's error norm is summed over its components in order, the controller
-runs per member on floats, and J*Q is one stacked product, so every member
-gets the bits of its own `integrate_with_tangents` run, errors and partial
-results included.  Any other set runs member by member through
+runs per member on floats, and J*Q adds its products in `_jq`'s order, so
+every member gets the bits of its own `integrate_with_tangents` run, errors
+and partial results included.  Any other set runs member by member through
 `integrate_with_tangents`.  A block iteration costs about as much at any n,
-so a block pays only from about ten members on.
+so a block pays only from `_MIN_BATCH` members on.
 
 A stage state that goes non-finite, or a new state
 with any component non-finite or outside [-1e12, 1e12], aborts with
@@ -85,6 +89,7 @@ __all__ = [
     "integrate",
     "integrate_with_tangents",
     "integrate_tangent_block",
+    "check_schedule",
     "BLOWUP_THRESHOLD",
 ]
 
@@ -107,10 +112,12 @@ _ERROR_WEIGHTS = [(1, 71.0 / 57600.0), (3, -71.0 / 16695.0), (4, 71.0 / 1920.0),
                   (6, 22.0 / 525.0), (7, -1.0 / 40.0)]
 
 # A block of at least this many tangent runs advances as one `_Dp54Block`.
-# Measured on criterion-9 C points (T = 100 + 150, tol 1e-8, 2-vCPU VM)
-# against point-by-point runs: 0.81x at 8 points, 0.98-1.00x at 10, 1.09x at
-# 11, 1.16-1.25x at 12, 1.30x at 14, 1.59x at 16.
-_MIN_BATCH = 10
+# Measured on the tangent phase of criterion-9 C points (T = 100 + 150, tol
+# 1e-8, 2-vCPU VM) against point-by-point runs on the traced tangent loop,
+# block speed-up: 0.48x at 8 points, 0.53x at 10, 0.65x at 12, 0.82x at 16,
+# 0.96x at 20, 1.16x at 24, 1.46x at 32.  A block costs 7.0-8.3 s at any of
+# these n, a point 0.37-0.42 s.
+_MIN_BATCH = 21
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -279,11 +286,14 @@ def _trace(fn, d: int, n_consts: int):
 
     for a in [a for v in tape for a in v.args] + out:
         a.uses += 1
-    lines = []
+    lines, names = [], {}
     for v in tape:  # in the order the operations ran
         if v.uses > 1:
-            lines.append(f"f_{len(lines)} = {text(v)}")
-            v.text, v.args = f"f_{len(lines) - 1}", ()
+            source = text(v)
+            if source not in names:  # the same text on the same names is the same float
+                names[source] = f"f_{len(lines)}"
+                lines.append(f"{names[source]} = {source}")
+            v.text, v.args = names[source], ()
     lines += [f"{{out}}{i} = {text(v)}" for i, v in enumerate(out)]
     return consts, "\n".join(lines)
 
@@ -480,13 +490,21 @@ def _output_times(t0: float, t1: float, out_stride: float) -> np.ndarray:
     return times
 
 
-def _check_schedule(t0: float, t1: float, out_stride=None, renorm_interval=None):
-    """Reject a window that is empty or not finite and a stride or renorm interval that is not positive."""
+def check_schedule(t0: float, t1: float, out_stride=None, renorm_interval=None):
+    """Reject a window that is empty or not finite, and a stride or renorm
+    interval that is not positive or gives more times over [t0, t1] than an
+    array can hold (an empty array of that size is asked for, and dropped)."""
     if not -math.inf < t0 < t1 < math.inf:
         raise ValueError("require finite t0 < t1")
     for name, step in (("out_stride", out_stride), ("renorm_interval", renorm_interval)):
-        if step is not None and not step > 0.0:
+        if step is None:
+            continue
+        if not step > 0.0:
             raise ValueError(f"{name} must be positive")
+        try:
+            np.empty(math.floor((t1 - t0) / step + 1e-9) + 2)  # `_output_times` makes at most this many
+        except (MemoryError, OverflowError, ValueError):
+            raise ValueError(f"{name} = {step!r} gives too many times over [{t0!r}, {t1!r}] to hold") from None
 
 
 class _Events:
@@ -502,7 +520,7 @@ class _Events:
     """
 
     def __init__(self, t0: float, t1: float, out_stride=None, renorm_interval=None):
-        _check_schedule(t0, t1, out_stride, renorm_interval)
+        check_schedule(t0, t1, out_stride, renorm_interval)
         self.sample_times = None if out_stride is None else _output_times(t0, t1, out_stride)
         samples = np.empty(0) if out_stride is None else self.sample_times[1:]
         self.renorm_times = (
@@ -600,19 +618,56 @@ def _check_frames(bundles):
             raise InvalidStateError("initial frame is not orthonormal")
 
 
+def _jq(J, Q, d: int) -> list:
+    """J Q of row-major d x d entries, (J Q)ij = Ji0 Q0j + Ji1 Q1j + ... added
+    left to right: the order `_jq_columns` keeps, and the same floats on any
+    CPU, which a BLAS product is not."""
+    out = []
+    for i in range(0, d * d, d):
+        for j in range(d):
+            s = J[i] * Q[j]
+            for k in range(1, d):
+                s = s + J[i + k] * Q[k * d + j]
+            out.append(s)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _tangent_formula(field_fn, jacobian_fn, d: int, n_field_consts: int):
+    """The formula Y -> [f(y), J(y) Q] of a field and a Jacobian formula, one
+    function per pair, so that the step loop traced from it is generated once."""
+
+    def tangent(Y, *consts):
+        y = Y[:d]
+        f = field_fn(y, *consts[:n_field_consts])
+        return [*f, *_jq(jacobian_fn(y, *consts[n_field_consts:]), Y[d:], d)]
+
+    return tangent
+
+
 def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
     """Float kernel of the state and its frame: y' = f(y), Q' = J(y) Q.
 
-    Y holds y followed by the d x d frame row-major.  J Q is formed here, by
-    one numpy product of the Jacobian's row-major entries and the frame, so a
-    Jacobian kernel and the adapter around an array Jacobian share it.  (The
-    same product as float dot products made a 30-D step about 1.7x slower.)
+    Y holds y followed by the d x d frame row-major; J Q is `_jq`.  When both
+    kernels carry a formula, so does this one, and the step loop writes f, J
+    and J Q into every stage; otherwise the kernels are called, same bits.
     """
+    field_formula = getattr(field_kernel, "formula", None)
+    jacobian_formula = getattr(jacobian_kernel, "formula", None)
+    if field_formula and jacobian_formula:
+        (field_fn, field_consts), (jacobian_fn, jacobian_consts) = field_formula, jacobian_formula
+        fn = _tangent_formula(field_fn, jacobian_fn, d, len(field_consts))
+        consts = (*field_consts, *jacobian_consts)
+
+        def tangent(t, Y):
+            return fn(Y, *consts)
+
+        tangent.formula = (fn, consts)
+        return tangent
 
     def aug(t, Y):
         y = Y[:d]
-        jq = np.array(jacobian_kernel(t, y)).reshape(d, d) @ np.array(Y[d:]).reshape(d, d)
-        return field_kernel(t, y) + jq.ravel().tolist()
+        return [*field_kernel(t, y), *_jq(jacobian_kernel(t, y), Y[d:], d)]
 
     return aug
 
@@ -657,18 +712,30 @@ def _combination(weights, K):
     return total
 
 
+def _jq_columns(J, Q) -> np.ndarray:
+    """J Q for a block: J is (d, d, n) with member m's entry [i, k] at
+    [i, k, m], Q (n, d*d) the members' frames row-major, and so is the
+    result.  One broadcast product, then the terms added over k left to
+    right in place, as `_jq` adds them."""
+    d, n = J.shape[0], J.shape[2]
+    products = J[:, :, None] * Q.T.reshape(d, d, n)  # [i, k, j, m] = J[i, k, m] * Q[m, k * d + j]
+    jq = products[:, 0].copy()
+    for k in range(1, d):
+        np.add(jq, products[:, k], out=jq)
+    return jq.reshape(d * d, n).T
+
+
 def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, J: np.ndarray):
     """K = [f(y), J(y) Q] row by row for a block Y of augmented states.
 
-    field and jacobian are column kernels; J receives each member's Jacobian
-    as a d x d matrix.  J Q is one stacked product over C-ordered d x d
-    blocks, which numpy hands to the same BLAS routine as a lone product.
+    field and jacobian are column kernels; J (d, d, n) receives each
+    member's Jacobian in the column layout the kernel returns.
     """
-    n, d = J.shape[0], J.shape[1]
+    d, n = J.shape[0], J.shape[2]
     cols = Y[:, :d].T
     K[:, :d] = np.array(field(t, cols)).T
-    J.reshape(n, d * d)[...] = np.array(jacobian(t, cols)).T
-    np.matmul(J, Y[:, d:].reshape(n, d, d), out=K[:, d:].reshape(n, d, d))
+    J[...] = np.array(jacobian(t, cols)).reshape(d, d, n)
+    K[:, d:] = _jq_columns(J, Y[:, d:])
 
 
 class _Dp54Block:
@@ -698,10 +765,10 @@ class _Dp54Block:
         self.log_rows = np.empty((n, events.renorm_times.size, d))
 
         self.t = np.full(n, float(t0))
-        self.K1, self.Jc = np.empty_like(self.Y), np.empty((n, d, d))
+        self.K1, self.Jc = np.empty_like(self.Y), np.empty((d, d, n))
         _block_derivative(field, jacobian, self.t, self.Y, self.K1, self.Jc)
         self.Ks = [np.empty_like(self.Y) for _ in range(6)]  # stages 2..7
-        self.Js, self.J7 = np.empty((n, d, d)), np.empty((n, d, d))
+        self.Js, self.J7 = np.empty((d, d, n)), np.empty((d, d, n))
         self.h_prop = np.full(n, min(cfg.h_init, cfg.h_max))
         self.taken = np.zeros(n, dtype=int)
         self.rejected = np.zeros(n, dtype=int)
@@ -733,7 +800,7 @@ class _Dp54Block:
             self.log_rows[i, slot] = np.log(row)
         Y[idx, d:] = q.reshape(idx.size, -1)
         # The base state is unchanged, so its Jacobian is the cached one.
-        self.K1[idx, d:] = (self.Jc[idx] @ Y[idx, d:].reshape(idx.size, d, d)).reshape(idx.size, -1)
+        self.K1[idx, d:] = _jq_columns(self.Jc[:, :, idx], Y[idx, d:])
 
     def _reach_events(self, idx: np.ndarray):
         """Members idx stand at their next event: sample, renormalize, move on."""
@@ -805,7 +872,7 @@ class _Dp54Block:
                 np.copyto(t, t_new, where=accept)
                 np.copyto(Y, Y_new, where=accept[:, None])
                 np.copyto(K1, K[7], where=accept[:, None])
-                np.copyto(self.Jc, self.J7, where=accept[:, None, None])
+                np.copyto(self.Jc, self.J7, where=accept)
                 self.taken += accept
                 self.rejected += reject
                 np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))

@@ -513,14 +513,17 @@ class TestReducedFullConsistency:
     def test_reduced_spectrum_subset_of_full_chaotic(self):
         """Same invariant on the chaotic attractor (K-plane start, C=-1).
 
-        Slow: chaotic finite-time exponents fluctuate ~1/sqrt(T); a 2000-unit
-        window brings the full/reduced estimate gap well under 5e-3."""
+        Slow: chaotic finite-time exponents fluctuate ~1/sqrt(T), and a
+        round-off change decorrelates the two runs long before T.  Over 18
+        runs from starts moved at round-off, the gap passed 5e-3 on 3 with a
+        2000-unit window (up to 1.2e-2); over 6, it stayed under 3.5e-3 with
+        8000."""
         p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
         K = 0.5
         z0 = np.array([0.1, 0.05, 0.0])
         y0 = lift(z0, K)
-        rep3 = lyapunov_spectrum(reduced_system(p, K), z0, 100.0, 2100.0, 1.0, FAST)
-        rep5 = lyapunov_spectrum(full_system(p), y0, 100.0, 2100.0, 1.0, FAST)
+        rep3 = lyapunov_spectrum(reduced_system(p, K), z0, 100.0, 8100.0, 1.0, FAST)
+        rep5 = lyapunov_spectrum(full_system(p), y0, 100.0, 8100.0, 1.0, FAST)
         assert rep3.exponents[0] > 1e-3  # genuinely chaotic at this K
         for lam in rep3.exponents:
             assert np.min(np.abs(rep5.exponents - lam)) <= 5e-3

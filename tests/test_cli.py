@@ -364,6 +364,8 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         pytest.param(["simulate", "--set", "times.out_stride=-1"], "times.out_stride", id="simulate-stride=-1"),
         pytest.param(["simulate", "--set", "times.t_transient=-1"], "times.t_transient", id="simulate-transient=-1"),
         pytest.param(["simulate", "--set", "times.t_total=Infinity"], "times.t_total", id="simulate-t_total=Infinity"),
+        pytest.param(["simulate", "--set", "times.t_total=1e15"], "out_stride", id="simulate-t_total=1e15"),
+        pytest.param(["simulate", "--set", "times.t_total=1e300"], "out_stride", id="simulate-t_total=1e300"),
         pytest.param(["simulate", "--set", "params.C=NaN"], "params.C", id="simulate-C=NaN"),
         pytest.param(["simulate", "--set", FULL_NAN], "initial_state.full", id="simulate-full=NaN"),
         pytest.param(["reduce", "--set", "times.out_stride=0"], "times.out_stride", id="reduce-stride=0"),
@@ -374,6 +376,9 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
             ["lyapunov", "--set", "lyapunov.renorm_interval=0"], "lyapunov.renorm_interval", id="lyapunov-renorm=0"
         ),
         pytest.param(["lyapunov", "--set", "times.t_total=Infinity"], "times.t_total", id="lyapunov-t_total=Infinity"),
+        pytest.param(
+            ["lyapunov", "--set", "lyapunov.renorm_interval=1e-13"], "renorm_interval", id="lyapunov-renorm=1e-13"
+        ),
         pytest.param(["verify", "--set", "verify.horizon=0"], "verify.horizon", id="verify-horizon=0"),
         pytest.param(["verify", "--set", "verify.samples=-1"], "verify.samples", id="verify-samples=-1"),
         pytest.param(["verify", "--set", "times.out_stride=0"], "times.out_stride", id="verify-stride=0"),

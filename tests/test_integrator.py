@@ -4,7 +4,9 @@ Oracles are closed-form solutions (exp decay, harmonic oscillator, the
 bilinear exponential law) and the RK4 update polynomial.
 """
 
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -381,6 +383,43 @@ class TestKernelAndAdapterPaths:
         )
 
 
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from dynlab.integrator import IntegratorConfig, _Dp54Stepper, _tangent_kernel
+from dynlab.model import Params, full_system
+a = np.random.default_rng(0).normal(size=(2, 100, 5, 5))
+system = full_system(Params(C=-1.0, D=-1.0, E=-0.5, F=0.0))
+kernel = _tangent_kernel(system.field.kernel, system.jacobian.kernel, 5)
+y0 = [0.73, -0.4, 0.2, 0.33, 0.11] + np.eye(5).ravel().tolist()
+stepper = _Dp54Stepper(kernel, 0.0, y0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8))
+stepper.step_to(5.0)
+for v in (a[0] @ a[1], np.array(stepper.y)):
+    print(hashlib.sha256(v.tobytes()).hexdigest())
+"""
+
+
+def test_tangent_step_does_not_depend_on_the_blas_kernel():
+    """A tangent run from the criterion-9 start, without renorms (their QR is
+    LAPACK's), ends in the same bits under the OpenBLAS core types Haswell,
+    Sandybridge and Nehalem, whose stacked 5 x 5 matmuls differ."""
+    matmuls, states = set(), set()
+    for core in ("Haswell", "Sandybridge", "Nehalem"):
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, check=True,
+            env={
+                **os.environ, "OPENBLAS_CORETYPE": core,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(dynlab.__file__)),
+            },
+        )
+        matmul, state = out.stdout.split()
+        matmuls.add(matmul)
+        states.add(state)
+    if len(matmuls) == 1:
+        pytest.skip("OPENBLAS_CORETYPE does not change numpy's matmul here (not an x86-64 OpenBLAS)")
+    assert len(states) == 1
+
+
 # The Dormand-Prince 5(4) tableau as the reference spells it, one name per
 # entry: nodes c, stage weights a, 5th-order weights b and e = b - b*.
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
@@ -625,10 +664,27 @@ def _random_params(rng):
     return Params(*(float(v) for v in rng.uniform([-3.0, -1.5, -1.0, -0.5], [-2.1, 1.5, -0.1, 0.5])))
 
 
+def _reference_tangent(field_kernel, jacobian_kernel, d):
+    """The kernel of [f(y), J(y) Q] with each (J Q)ij = Ji0 Q0j + Ji1 Q1j + ...
+    folded left to right: the reference of every tangent route."""
+
+    def kernel(t, Y):
+        J, Q = jacobian_kernel(t, Y[:d]), Y[d:]
+        jq = [
+            functools.reduce(operator.add, (J[i * d + k] * Q[k * d + j] for k in range(d)))
+            for i in range(d)
+            for j in range(d)
+        ]
+        return list(field_kernel(t, Y[:d])) + jq
+
+    return kernel
+
+
 def _kernels(d, rng):
-    """(name, kernel, y0) for d: a coupled kernel called at every stage, and
-    the kernels with a formula that d has (the model's, the test formulas')
-    and, at d = 30, the tangent kernel of the full system."""
+    """(name, kernel, reference kernel, y0) for d: a coupled kernel called at
+    every stage, the kernels with a formula that d has (the model's, the test
+    formulas'), each its own reference, and, at d = 12 and 30, the tangent
+    kernels of the reduced and the full system, traced or called."""
     y0 = (rng.normal(size=d) * 10.0 ** rng.uniform(-2.0, 0.3, size=d)).tolist()
     out = [("call", _coupled_kernel(d, rng), y0)]
     p = _random_params(rng)
@@ -650,10 +706,17 @@ def _kernels(d, rng):
         out.append(("inline-reduced", kernel, rng.uniform(-1.0, 1.0, 3).tolist()))
     if d == 5:
         out.append(("inline-full", full_system(p).field.kernel, rng.uniform(-1.0, 1.0, 5).tolist()))
-    if d == 30:
-        system = full_system(Params(C=-1.0, D=-1.0, E=-0.5, F=0.0))
-        aug = _tangent_kernel(system.field.kernel, system.jacobian.kernel, 5)
-        out.append(("tangent", aug, rng.uniform(-1.0, 1.0, 5).tolist() + np.eye(5).ravel().tolist()))
+    out = [(name, kernel, kernel, y0) for name, kernel, y0 in out]
+    if d in (12, 30):
+        n = 3 if d == 12 else 5
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        system = reduced_system(p, 0.8) if n == 3 else full_system(p)
+        field, jacobian = system.field.kernel, system.jacobian.kernel
+        y0 = rng.uniform(-1.0, 1.0, n).tolist() + np.eye(n).ravel().tolist()
+        reference = _reference_tangent(field, jacobian, n)
+        out.append((f"inline-tangent-{n}", _tangent_kernel(field, jacobian, n), reference, y0))
+        adapters = [_float_kernel(f) for f in _plain(system)]
+        out.append((f"call-tangent-{n}", _tangent_kernel(*adapters, n), reference, y0))
     return out
 
 
@@ -691,13 +754,13 @@ class TestGeneratedAttempt:
         steps are rejected (some with err_norm past the factor clamp) and
         capped onto stops."""
         rng = np.random.default_rng(d)
-        for name, kernel, y0 in _kernels(d, rng):
+        for name, kernel, reference, y0 in _kernels(d, rng):
             gaps = 10.0 ** rng.uniform(-2.0, 0.3, 40)
             gaps[0], gaps[1::7] = 2.5, 1e-14  # a long first step; stops within a snap
             stops = np.cumsum(gaps).tolist()
             cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10, h_init=0.8, h_max=0.8)
             new = _Dp54Stepper(kernel, 0.0, list(y0), cfg)
-            ref = _ReferenceStepper(kernel, 0.0, list(y0), cfg)
+            ref = _ReferenceStepper(reference, 0.0, list(y0), cfg)
             fn, consts = getattr(kernel, "formula", (None, ()))
             assert new.loop is _dp54_loop(d, fn, len(consts))
             assert ("kernel calls" in new.loop.__code__.co_filename) != name.startswith("inline"), name
@@ -793,6 +856,11 @@ class TestGeneratedAttempt:
         assert _dp54_loop.cache_info().misses == 1
         assert len({_dp54_loop(5, None, 0), _dp54_loop(3, _reduced_rhs, 5), _dp54_loop(5, _full_rhs, 4)}) == 3
         assert _dp54_loop.cache_info().misses == 3
+        frame = np.eye(5).ravel().tolist()
+        tangents = [_tangent_kernel(s.field.kernel, s.jacobian.kernel, 5) for s in systems]
+        loops = {_Dp54Stepper(k, 0.0, [0.1] * 5 + frame, IntegratorConfig()).loop for k in tangents}
+        assert len({k.formula[0] for k in tangents}) == len(loops) == 1
+        assert _dp54_loop.cache_info().misses == 4
         code = "import dynlab, dynlab.cli; print(dynlab.integrator._dp54_loop.cache_info().currsize)"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
