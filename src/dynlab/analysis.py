@@ -305,8 +305,8 @@ def _local_maxima(values: np.ndarray, cap: int) -> np.ndarray:
 
 def _make_system(p_base: Params, param_name: str, value: float) -> DynamicalSystem:
     if param_name == "K":
-        return reduced_system(p_base, float(value))
-    return full_system(replace(p_base, **{param_name: float(value)}))
+        return reduced_system(p_base, value)
+    return full_system(replace(p_base, **{param_name: value}))
 
 
 def _scan_record(param_name: str, value: float, report, traj, settings: ScanSettings) -> ScanRecord:

@@ -13,14 +13,18 @@ serves every command: every number must be finite; times.t_transient,
 verify.samples, reduce.zero_tol, scan.extrema_cap and scan.eps_zero must be
 >= 0; times.t_total, times.out_stride, lyapunov.renorm_interval and
 verify.horizon must be > 0; the integrator section must make an
-IntegratorConfig.  So `verify` refuses times.out_stride = 0, which it does
-not read.  A command then checks only what is its own: lyapunov's
-t_total > t_transient, scan's flags, its window and a reduced start for a
-K-scan, and E != 0 for equilibrium.
+IntegratorConfig; the samples of a run over [0, times.t_total] and of
+verify's flow checks over [0, verify.horizon] must fit in memory.  So
+`verify` refuses times.out_stride = 0, which it does not read.  A command
+then checks only what is its own: lyapunov's t_total > t_transient, scan's
+flags, its window and a reduced start for a K-scan, and E != 0 for
+equilibrium.
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
-3 unwritable output; 4 integration blow-up (partial trajectory kept with a
-.partial suffix); 5 initial state not on a limit set (reduce).
+3 unwritable output; 4 integration failure: blow-up, step budget spent or
+step below h_min (simulate keeps its partial trajectory with a .partial
+suffix); 5 initial state not on a limit set, or its two ratios disagree
+(reduce).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import numpy as np
 
 from .analysis import ScanSettings, equilibrium_stability, lyapunov_spectrum, parameter_scan
 from .errors import (
-    BlowUpError,
     ConfigError,
     DegenerateParametersError,
     DynlabError,
@@ -46,7 +49,7 @@ from .errors import (
     RatioInconsistencyError,
 )
 from .integrator import IntegratorConfig, check_schedule, integrate
-from .invariants import verification_suite
+from .invariants import FLOW_STRIDE, verification_suite
 from .model import Params, equilibrium, full_system, lift, reduced_system
 from .reduction import compare_full_vs_reduced, k_drift
 
@@ -205,6 +208,10 @@ def normalize_config(raw: dict) -> dict:
         check_schedule(0.0, times["t_total"], times["out_stride"], cfg["lyapunov"]["renorm_interval"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:  # and so must the samples of verify's flow checks
+        check_schedule(0.0, cfg["verify"]["horizon"], FLOW_STRIDE)
+    except ValueError as exc:
+        raise ConfigError(f"verify.horizon: {exc}") from exc
 
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
@@ -386,14 +393,7 @@ def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> 
     directory = _out_dir(cfg, args.out)
     t_total, stride = cfg["times"]["t_total"], cfg["times"]["out_stride"]
     zero_tol = cfg["reduce"]["zero_tol"]
-    try:
-        comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
-    except (NotOnLimitSetError, RatioInconsistencyError) as exc:
-        print(f"dynlab reduce: {exc}", file=sys.stderr)
-        return EXIT_NOT_ON_LIMIT_SET
-    except IntegrationError as exc:
-        print(f"dynlab reduce: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
+    comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
     drift = k_drift(comparison.full_trajectory, zero_tol=zero_tol)
     drift_rows = zip(drift.times.tolist(), drift.estimates.tolist())
     _write_text(
@@ -570,10 +570,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"dynlab: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except NotOnLimitSetError as exc:
+    except (NotOnLimitSetError, RatioInconsistencyError) as exc:
         print(f"dynlab: {exc}", file=sys.stderr)
         return EXIT_NOT_ON_LIMIT_SET
-    except BlowUpError as exc:
+    except IntegrationError as exc:
         print(f"dynlab: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except DynlabError as exc:

@@ -51,10 +51,13 @@ step size, accept/reject decision, counters and budget.  The stages run over
 the block with the scalar stepper's expressions in the same order, each
 member's error norm is summed over its components in order, the controller
 runs per member on floats, and J*Q adds its products in `_jq`'s order, so
-every member gets the bits of its own `integrate_with_tangents` run, errors
-and partial results included.  Any other set runs member by member through
-`integrate_with_tangents`.  A block iteration costs about as much at any n,
-so a block pays only from `_MIN_BATCH` members on.
+every member that completes gets the bits of its own `integrate_with_tangents`
+run.  The block only succeeds: a member whose next attempt would fail (step
+budget spent, new state out of range, step below h_min, degenerate frame) is
+dropped, and it and any set the block cannot take run member by member
+through `integrate_with_tangents`, which builds every error and partial
+result.  A block iteration costs about as much at any n, so a block pays only
+from `_MIN_BATCH` members on.
 
 A stage state that goes non-finite, or a new state
 with any component non-finite or outside [-1e12, 1e12], aborts with
@@ -742,9 +745,13 @@ class _Dp54Block:
     """`_Dp54Stepper.step_to` and `_run_events` on a block of tangent runs
     that share one schedule: row i of every array is member i.
 
-    Each member keeps its own place in the schedule (`ev`).  A member that
-    is done or has failed stays in the block with h = 0 and its last state,
-    so the column kernels always see every member.
+    Each member keeps its own place in the schedule (`ev`).  `run` returns
+    each member's (final bundle, RenormLog, Trajectory-or-None), or None for
+    a member dropped because its next attempt would fail: its step budget is
+    spent, its new state leaves the finite range or +-`BLOWUP_THRESHOLD`, a
+    rejected step falls below h_min, or its frame degenerates at a renorm.
+    A member that is done or dropped stays in the block with h = 0 and its
+    last state, so the column kernels always see every member.
     """
 
     def __init__(self, field, jacobian, bundles0, t0, events: _Events, cfg):
@@ -776,25 +783,12 @@ class _Dp54Block:
         self.active = np.ones(n, dtype=bool)
         self.results = [None] * n
 
-    def _fail(self, i: int, exc: IntegrationError, at_stop=False):
-        """Member i stops with exc, which carries the partial results."""
-        exc.partial_log, exc.partial_traj = self.events.results(
-            self.ev[i], self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i], at_stop
-        )
-        self.results[i] = exc
-        self.active[i] = False
-
     def _renorm(self, idx: np.ndarray, e: np.ndarray):
         """Re-orthonormalize the frames of members idx at their events e."""
         d, Y = self.d, self.Y
         q, stretches = _orthonormalize(Y[idx, d:].reshape(idx.size, d, d))
-        degenerate = np.any(stretches == 0.0, axis=1)
-        for j in np.flatnonzero(degenerate).tolist():
-            i, k = int(idx[j]), int(e[j])
-            te = float(self.ev_t[k])
-            exc = BlowUpError(f"tangent frame degenerated at t = {te!r}", t=te, last_state=Y[i, :d].copy())
-            self._fail(i, exc, at_stop=True)
-        ok = ~degenerate
+        ok = np.all(stretches != 0.0, axis=1)
+        self.active[idx[~ok]] = False
         idx, e, q, stretches = idx[ok], e[ok], q[ok], stretches[ok]
         for i, slot, row in zip(idx.tolist(), self.events.renorm_slot[e].tolist(), stretches):
             self.log_rows[i, slot] = np.log(row)
@@ -832,10 +826,7 @@ class _Dp54Block:
         self._reach_events(np.flatnonzero(self.ev_t[self.ev] - t <= self.ev_snap[self.ev]))
         with np.errstate(all="ignore"):
             while True:
-                for i in np.flatnonzero(active & (self.taken + self.rejected >= cfg.max_steps)):
-                    ti = float(t[i])
-                    msg = f"max_steps = {cfg.max_steps} exhausted at t = {ti!r}"
-                    self._fail(i, StepBudgetError(msg, t=ti, last_state=Y[i].copy()))
+                active &= self.taken + self.rejected < cfg.max_steps
                 if not active.any():
                     return self.results
 
@@ -844,11 +835,8 @@ class _Dp54Block:
                 capped = self.h_prop >= remaining
                 h = np.where(active, np.where(capped, remaining, self.h_prop), 0.0)
                 hc = h[:, None]
-                stages = []
                 for s, (c, weights) in enumerate(_STAGES, start=2):
-                    ts, Ys = t + c * h, Y + hc * _combination(weights, K)
-                    _block_derivative(field, jacobian, ts, Ys, K[s], Js)
-                    stages.append((ts, Ys))
+                    _block_derivative(field, jacobian, t + c * h, Y + hc * _combination(weights, K), K[s], Js)
                 t_new = t + h
                 Y_new = Y + hc * _combination(_WEIGHTS, K)
                 _block_derivative(field, jacobian, t_new, Y_new, K[7], self.J7)
@@ -857,12 +845,9 @@ class _Dp54Block:
                 err = np.sqrt(np.cumsum(r * r, axis=1)[:, -1] / Y.shape[1])
 
                 # A non-finite stage state makes Y_new non-finite, and a NaN
-                # makes a maximum NaN, which fails the comparison.  Members
-                # with h = 0 repeat their finite state.
+                # makes a maximum NaN, which fails the comparison.
                 if not np.abs(Y_new).max() <= BLOWUP_THRESHOLD:
-                    blown = active & ~(np.abs(Y_new).max(axis=1) <= BLOWUP_THRESHOLD)
-                    for i in np.flatnonzero(blown).tolist():
-                        self._blow_up(i, stages, t_new, Y_new)
+                    active &= np.abs(Y_new).max(axis=1) <= BLOWUP_THRESHOLD
 
                 accept = active & (err <= 1.0)
                 reject = active & ~accept
@@ -876,25 +861,8 @@ class _Dp54Block:
                 self.taken += accept
                 self.rejected += reject
                 np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))
-                for i in np.flatnonzero(reject & (self.h_prop < cfg.h_min)):
-                    ti = float(t[i])
-                    msg = f"step size fell below h_min = {cfg.h_min!r} at t = {ti!r}"
-                    self._fail(i, StiffnessError(msg, t=ti, last_state=Y[i].copy()))
+                active &= ~(reject & (self.h_prop < cfg.h_min))
                 self._reach_events(np.flatnonzero(accept & (target - t <= snap)))
-
-    def _blow_up(self, i: int, stages, t_new, Y_new):
-        """Member i's attempted step left the finite range: fail as the scalar
-        stepper does, at its first non-finite stage state if there is one."""
-        for ts, Ys in stages:
-            if not _finite(Ys[i].tolist()):
-                t = float(ts[i])
-                msg = f"non-finite state during step at t = {t!r}"
-                exc = BlowUpError(msg, t=t, last_state=self.Y[i].copy())
-                break
-        else:
-            t = float(t_new[i])
-            exc = BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=Y_new[i].copy())
-        self._fail(i, exc)
 
 
 def _columns(callables):
@@ -932,20 +900,23 @@ def integrate_tangent_block(
     IntegrationError its own run raises, with its ``partial_log`` /
     ``partial_traj``.  The route is chosen here: at least `_MIN_BATCH` DP54
     members whose fields and Jacobians each share one formula (`_columns`)
-    run as one `_Dp54Block`, any other set one run per member.
+    run as one `_Dp54Block`, any other set one run per member.  A member the
+    block drops, because it would fail, runs alone too, so its error comes
+    from its own run.
     """
     events = _Events(t0, t1, out_stride, float(renorm_interval))
     _check_frames(bundles0)
+    outcomes = [None] * len(bundles0)
     if len(bundles0) >= _MIN_BATCH and cfg.method == "adaptive-DP54":
         field, jacobian = _columns(fields), _columns(jacobians)
         if field and jacobian:
-            return _Dp54Block(field, jacobian, bundles0, t0, events, cfg).run()
-    outcomes = []
-    for field, jacobian, bundle0 in zip(fields, jacobians, bundles0):
-        try:
-            outcomes.append(
-                integrate_with_tangents(field, jacobian, bundle0, t0, t1, renorm_interval, cfg, out_stride)
-            )
-        except IntegrationError as exc:
-            outcomes.append(exc)
+            outcomes = _Dp54Block(field, jacobian, bundles0, t0, events, cfg).run()
+    for i, (field, jacobian, bundle0) in enumerate(zip(fields, jacobians, bundles0)):
+        if outcomes[i] is None:
+            try:
+                outcomes[i] = integrate_with_tangents(
+                    field, jacobian, bundle0, t0, t1, renorm_interval, cfg, out_stride
+                )
+            except IntegrationError as exc:
+                outcomes[i] = exc
     return outcomes

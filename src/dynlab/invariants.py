@@ -36,7 +36,11 @@ __all__ = [
     "norm_derivative_forms",
     "check_trajectory",
     "verification_suite",
+    "FLOW_STRIDE",
 ]
+
+# The sample stride of `verification_suite`'s flow checks over [0, horizon].
+FLOW_STRIDE = 0.1
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,9 @@ def verification_suite(
     Pointwise identities are evaluated on `samples` random states in
     [-10, 10]^5 with random parameters in [-3, 3]^4; the flow-level checks
     integrate the configured system over [0, horizon] from generic and
-    on-plane starts.  When `tolerance` is given it replaces every identity's
-    default pass threshold (a zero tolerance therefore fails everything).
+    on-plane starts, sampled every `FLOW_STRIDE`.  When `tolerance` is given
+    it replaces every identity's default pass threshold (a zero tolerance
+    therefore fails everything).
     """
     from .integrator import IntegratorConfig, integrate
     from .model import full_system, lift
@@ -206,14 +211,14 @@ def verification_suite(
     try:
         for _ in range(2):
             y0 = rng.uniform(-2.0, 2.0, 5)
-            traj = integrate(system.field, y0, 0.0, horizon, 0.1, cfg)
+            traj = integrate(system.field, y0, 0.0, horizon, FLOW_STRIDE, cfg)
             rep = check_trajectory(traj, p, tol_flow)["bilinear_law"]
             if rep.max_rel_residual > flow_rel:
                 flow_rel, flow_abs, flow_t = rep.max_rel_residual, rep.max_abs_residual, rep.worst_time
         z0 = rng.uniform(-1.5, 1.5, 3)
         k0 = rng.uniform(-2.0, 2.0)
         y0 = lift(z0, k0)
-        traj = integrate(system.field, y0, 0.0, horizon, 0.1, cfg)
+        traj = integrate(system.field, y0, 0.0, horizon, FLOW_STRIDE, cfg)
         reps = check_trajectory(traj, p, tol_prop)
         rep = reps["proportionality"]
         prop_rel, prop_abs, prop_t = rep.max_rel_residual, rep.max_abs_residual, rep.worst_time

@@ -66,7 +66,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Params:
-    """Model constants: damping C, coupling D, motor slope E, torque term F."""
+    """Model constants: damping C, coupling D, motor slope E, torque term F.
+
+    Each is stored as a Python float: a numpy scalar would make every step
+    of the generated loops numpy-scalar arithmetic, with the same bits.
+    """
 
     C: float
     D: float
@@ -78,6 +82,7 @@ class Params:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise InvalidStateError(f"parameter {name} is not finite: {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,15 @@ class KRatio:
             raise ValueError(f"unknown KRatio kind {self.kind!r}")
         if not math.isfinite(self.value):
             raise InvalidStateError(f"KRatio value is not finite: {self.value!r}")
+        object.__setattr__(self, "value", float(self.value))  # a float, as Params stores its constants
 
     @classmethod
     def standard(cls, value: float) -> "KRatio":
-        return cls("standard", float(value))
+        return cls("standard", value)
 
     @classmethod
     def swapped(cls, value: float) -> "KRatio":
-        return cls("swapped", float(value))
+        return cls("swapped", value)
 
     @classmethod
     def zero_pair(cls) -> "KRatio":
@@ -360,5 +366,6 @@ def full_system(p: Params) -> DynamicalSystem:
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
     """The reduced 3-D system on the K-plane, packaged for the integrator."""
     _check_k(K)
+    K = float(K)  # a float, as Params stores its constants
     C, D, E, F = p.C, p.D, p.E, p.F
     return _kernel_system((_reduced_rhs, (K, C, D, E, F)), (_reduced_jac, (K, C, D, E)), 3)

@@ -113,6 +113,19 @@ class TestSimulate:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_random_box_of_five_pairs(self, tmp_path):
+        """Each component is drawn inside its own [lo, hi], and the seed fixes the start."""
+        box = [[-2.0, -1.0], [0.0, 0.5], [1.0, 1.25], [-0.125, 0.0], [3.0, 7.0]]
+        cfg = write_config(tmp_path, {"initial_state": {"random": {"box": box}}, "times": {"t_total": 0.5}})
+        starts = []
+        for sub, seed in (("a", 12), ("b", 12), ("c", 13)):
+            out = tmp_path / sub
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--set", f"seed={seed}"]) == 0
+            starts.append([float(v) for v in read_csv(out / "trajectory.csv")[1][0][1:]])
+        for start in starts:
+            assert all(lo <= y <= hi for (lo, hi), y in zip(box, start))
+        assert starts[0] == starts[1] != starts[2]
+
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "run"
@@ -183,9 +196,22 @@ class TestVerify:
 
 
 class TestReduce:
-    def test_off_limit_set_exit_5(self, tmp_path):
+    def test_off_limit_set_exit_5(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # y0=(1,0,0,0,1) has bilinear 1
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 5
+        assert capsys.readouterr().err.startswith("dynlab: ")
+
+    def test_step_budget_exit_4(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "initial_state": {"full": [1.0, 1.0, 0.0, 2.0, 2.0]},
+                "integrator": {"max_steps": 3},
+                "times": {"t_transient": 0.0, "t_total": 20.0, "out_stride": 0.5},
+            },
+        )
+        assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+        assert capsys.readouterr().err.startswith("dynlab: max_steps = 3 exhausted")
 
     def test_manifold_reduction_report(self, tmp_path):
         cfg = write_config(
@@ -381,6 +407,10 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         ),
         pytest.param(["verify", "--set", "verify.horizon=0"], "verify.horizon", id="verify-horizon=0"),
         pytest.param(["verify", "--set", "verify.samples=-1"], "verify.samples", id="verify-samples=-1"),
+        pytest.param(
+            ["verify", "--set", "verify.horizon=1e15", "--set", "verify.samples=1"], "verify.horizon",
+            id="verify-horizon=1e15",
+        ),
         pytest.param(["verify", "--set", "times.out_stride=0"], "times.out_stride", id="verify-stride=0"),
         pytest.param(["equilibrium", "--set", "integrator.h_min=1"], "h_min", id="equilibrium-h_min=1"),
         pytest.param(["equilibrium", "--set", "params.E=0"], "E = 0", id="equilibrium-E=0"),

@@ -1112,18 +1112,26 @@ class TestTangentBlock:
     @pytest.fixture(autouse=True)
     def block_of_any_size(self, monkeypatch):
         """Every set of two or more members runs as one `_Dp54Block`; the
-        blocks run are counted in self.blocks."""
+        blocks run are counted in self.blocks, the members run alone through
+        `integrate_with_tangents` in self.alone."""
         monkeypatch.setattr(integrator, "_MIN_BATCH", 2)
-        self.blocks = 0
-        run = _Dp54Block.run
+        self.blocks = self.alone = 0
+        run, alone = _Dp54Block.run, integrator.integrate_with_tangents
 
         def counted_run(block):
             self.blocks += 1
             return run(block)
 
+        def counted_alone(*args, **kwargs):
+            self.alone += 1
+            return alone(*args, **kwargs)
+
         monkeypatch.setattr(_Dp54Block, "run", counted_run)
+        monkeypatch.setattr(integrator, "integrate_with_tangents", counted_alone)
 
     def run_both(self, p, name, values, y0, t0, t1, renorm, cfg, out_stride):
+        """The block's outcomes, each checked against its own run; only the
+        members that fail run alone."""
         d = len(y0)
         bundles = [TangentBundle(base=np.array(y0), frame=np.eye(d)) for _ in values]
         systems = [_system(p, name, v) for v in values]
@@ -1133,6 +1141,9 @@ class TestTangentBlock:
         )
         assert self.blocks == 1
         assert len(block) == len(values)
+        # Only the members that fail run alone: a block in which none fails
+        # costs no run more than the block itself.
+        assert self.alone == sum(isinstance(outcome, IntegrationError) for outcome in block)
         for system, outcome in zip(systems, block):
             _assert_same_outcome(
                 outcome,
@@ -1147,6 +1158,7 @@ class TestTangentBlock:
                     out_stride=out_stride,
                 ),
             )
+        return block
 
     @pytest.mark.parametrize("out_stride", [0.1, None])
     def test_full_system_c_values(self, out_stride):
@@ -1171,21 +1183,32 @@ class TestTangentBlock:
             5.0, 25.0, 1.0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8), 0.1,
         )
 
+    # On the invariant line y1 = y2 = y4 = y5 = 0 the frame grows at a rate
+    # rising to C + 2.
+    LINE = [0.0, 0.0, 1.99, 0.0, 0.0]
+
     def test_blow_up_budget_and_completion_in_one_block(self):
-        """On the invariant line y1 = y2 = y4 = y5 = 0 the frame grows at a
-        rate rising to C + 2: at C = 1 it passes 1e12 in the second renorm
-        interval, at C = 0.6 the step budget runs out first, and at C = -2.5
-        the run completes."""
+        """At C = 1 the frame passes 1e12 in the second renorm interval, at
+        C = 0.6 the step budget runs out first, and at C = -2.5 the run
+        completes."""
         p = Params(C=-2.5, D=-1.0, E=-0.1, F=0.0)
-        self.run_both(
-            p, "C", [-2.5, 0.6, 1.0], [0.0, 0.0, 1.99, 0.0, 0.0],
-            1.0, 41.0, 10.0, IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=1000), 0.1,
-        )
+        cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=1000)
+        block = self.run_both(p, "C", [-2.5, 0.6, 1.0], self.LINE, 1.0, 41.0, 10.0, cfg, 0.1)
+        assert [type(outcome) for outcome in block] == [tuple, StepBudgetError, BlowUpError]
+
+    def test_step_below_h_min_in_one_block(self):
+        """With h_min = h_init = 0.05 the first steps at C = -2.5 and C = 1 are
+        rejected below h_min; C = 0.6 spends its step budget."""
+        p = Params(C=-2.5, D=-1.0, E=-0.1, F=0.0)
+        cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, h_init=0.05, h_min=0.05, max_steps=1000)
+        block = self.run_both(p, "C", [-2.5, 0.6, 1.0], self.LINE, 1.0, 41.0, 10.0, cfg, 0.1)
+        assert [type(outcome) for outcome in block] == [StiffnessError, StepBudgetError, StiffnessError]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("component", range(3))
     def test_non_finite_stage_state(self, component, value):
-        """Member 1's field goes bad at t = 2.025; member 0 is unaffected."""
+        """Member 1's field goes bad at t = 2.025: the block drops it, and
+        member 0 is unaffected."""
         A = np.diag([-1.0, -2.0, -0.5])
 
         def field(t, cols):
@@ -1201,14 +1224,11 @@ class TestTangentBlock:
         bundles = [TangentBundle(base=np.array([1.0, -0.5, 0.25]), frame=np.eye(3))] * 2
         cfg = TestNonFiniteBlowUp.LOOSE
         block = _Dp54Block(field, jacobian, bundles, 0.0, _Events(0.0, 5.0, 0.5, 1.0), cfg).run()
-        for outcome, f in zip(block, (decay, _goes_bad(component, value, 2.025))):
-            _assert_same_outcome(
-                outcome,
-                lambda: integrate_with_tangents(
-                    f, lambda t, y: A, bundles[0], 0.0, 5.0, 1.0, cfg, out_stride=0.5
-                ),
-            )
-        assert "non-finite state during step" in str(block[1])
+        assert block[1] is None
+        _assert_same_outcome(
+            block[0],
+            lambda: integrate_with_tangents(decay, lambda t, y: A, bundles[0], 0.0, 5.0, 1.0, cfg, out_stride=0.5),
+        )
 
     def test_validates_like_the_scalar_run(self):
         systems = [_system(Params(-1.0, -1.0, -0.5, 0.0), "C", c) for c in (-1.0, -0.8)]

@@ -323,3 +323,15 @@ class TestTypes:
         assert KRatio.zero_pair().value == 0.0
         with pytest.raises(ValueError):
             KRatio("diagonal", 1.0)
+
+    def test_constants_are_stored_as_floats(self):
+        """numpy scalars and ints become floats, which the generated step
+        loops run on; a string is still refused."""
+        p = Params(C=np.float64(-1.0), D=np.float32(0.5), E=-2, F=np.int64(0))
+        assert [type(v) for v in (p.C, p.D, p.E, p.F)] == [float] * 4
+        assert (p.C, p.D, p.E, p.F) == (-1.0, 0.5, -2.0, 0.0)
+        assert type(KRatio("standard", np.float64(0.5)).value) is float
+        field_constants = reduced_system(p, np.float64(0.5)).field.kernel.formula[1]
+        assert [type(v) for v in field_constants] == [float] * 5
+        with pytest.raises(TypeError):
+            Params(C="-1.0", D=0.0, E=1.0, F=0.0)
