@@ -4,7 +4,7 @@ Submodules: model (vector fields, Jacobians, equilibrium, K-plane lift and
 project), integrator (adaptive DP54 and fixed RK4, tangent propagation),
 invariants (bilinear law, proportionality, norm-derivative forms), reduction
 (K extraction, 5-D vs 3-D comparison), analysis (Lyapunov spectra,
-classification, scans, Poincare sections), cli (the dynlab command).
+classification, scans), cli (the dynlab command).
 """
 
 from .model import (
@@ -48,12 +48,10 @@ from .analysis import (
     LyapunovReport,
     ScanRecord,
     ScanSettings,
-    SectionPoints,
     classify,
     equilibrium_stability,
     lyapunov_spectrum,
     parameter_scan,
-    poincare_section,
     trace_average,
 )
 

@@ -1,4 +1,4 @@
-"""Asymptotic analysis: Lyapunov spectra, classification, scans, sections.
+"""Asymptotic analysis: Lyapunov spectra, classification and scans.
 
 Lyapunov exponents use the tangent-frame method: an orthonormal frame is
 carried by the linearized flow and re-orthonormalized at fixed intervals; the
@@ -54,12 +54,10 @@ __all__ = [
     "LyapunovReport",
     "ScanRecord",
     "ScanSettings",
-    "SectionPoints",
     "lyapunov_spectrum",
     "equilibrium_stability",
     "classify",
     "parameter_scan",
-    "poincare_section",
     "trace_average",
     "CLASSIFICATIONS",
     "SCAN_PARAMS",
@@ -83,10 +81,8 @@ class LyapunovReport:
 
 @dataclass
 class ScanRecord:
-    param_name: str
     param_value: float
     classification: str
-    largest_exponent: float
     exponents: np.ndarray
     extrema_sample: np.ndarray
 
@@ -117,15 +113,6 @@ class ScanSettings:
             raise ValueError("eps_zero and extrema_cap must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-
-@dataclass
-class SectionPoints:
-    """Plane crossings of a trajectory: remaining coordinates per crossing."""
-
-    plane: tuple  # (coordinate index, level, direction)
-    points: np.ndarray  # shape (n, d-1)
-    times: np.ndarray  # refined crossing times, shape (n,)
 
 
 def _check_window(t_transient: float, t_total: float):
@@ -245,8 +232,7 @@ def classify(report: LyapunovReport, traj: Trajectory, eps_zero: float = 1e-3) -
     exponent marks a periodic orbit, two or more a torus; all-negative is an
     equilibrium.  A flow cannot have a non-equilibrium limit set with an
     all-negative spectrum, so the spectrum verdict stands even when the
-    trajectory tail still shows motion (under-resolved transient);
-    `terminal_variation(traj)` quantifies how settled the tail is.
+    trajectory tail still shows motion (under-resolved transient).
     """
     if report.diverged:
         return "diverged"
@@ -261,13 +247,6 @@ def classify(report: LyapunovReport, traj: Trajectory, eps_zero: float = 1e-3) -
     if near_zero == 1:
         return "periodic"
     return "equilibrium"
-
-
-def terminal_variation(traj: Trajectory, fraction: float = 0.1) -> float:
-    """Max-norm spread of the trailing fraction of samples around the last one."""
-    n = traj.times.size
-    tail = traj.states[max(0, n - max(2, int(math.ceil(fraction * n)))) :]
-    return float(np.abs(tail - tail[-1]).max())
 
 
 def trace_average(
@@ -309,18 +288,15 @@ def _make_system(p_base: Params, param_name: str, value: float) -> DynamicalSyst
     return full_system(replace(p_base, **{param_name: value}))
 
 
-def _scan_record(param_name: str, value: float, report, traj, settings: ScanSettings) -> ScanRecord:
+def _scan_record(value: float, report, traj, settings: ScanSettings) -> ScanRecord:
     label = classify(report, traj, settings.eps_zero)
     if label == "diverged" or traj is None:
         extrema = np.empty(0)
     else:
         extrema = _local_maxima(traj.states[:, 0], settings.extrema_cap)
-    lam1 = float(report.exponents[0]) if report.exponents.size else math.nan
     return ScanRecord(
-        param_name=param_name,
         param_value=float(value),
         classification=label,
-        largest_exponent=lam1,
         exponents=report.exponents,
         extrema_sample=extrema,
     )
@@ -340,7 +316,7 @@ def _scan_shard(args) -> list[tuple[ScanRecord, np.ndarray | None]]:
         out_stride=settings.out_stride,
     )
     return [
-        (_scan_record(param_name, v, report, traj, settings), terminal)
+        (_scan_record(v, report, traj, settings), terminal)
         for v, (report, traj, terminal) in zip(values, runs)
     ]
 
@@ -395,76 +371,3 @@ def parameter_scan(
     for w, shard in enumerate(shard_records):
         records[w::workers] = [record for record, _ in shard]
     return records
-
-
-def _cubic_stencil(times: np.ndarray, i: int) -> np.ndarray:
-    lo = max(0, min(i - 1, times.size - 4))
-    return np.arange(lo, min(lo + 4, times.size))
-
-
-def _lagrange_eval(ts: np.ndarray, ys: np.ndarray, t: float) -> np.ndarray:
-    """Lagrange interpolation of row vectors ys at nodes ts, evaluated at t."""
-    result = np.zeros(ys.shape[1])
-    n = ts.size
-    for j in range(n):
-        w = 1.0
-        for m in range(n):
-            if m != j:
-                w *= (t - ts[m]) / (ts[j] - ts[m])
-        result += w * ys[j]
-    return result
-
-
-def poincare_section(
-    traj: Trajectory, coordinate: int, level: float, direction: str = "both"
-) -> SectionPoints:
-    """Crossings of the plane {y[coordinate] = level} with matching direction.
-
-    Consecutive samples bracketing the plane are refined by secant iteration
-    on a local cubic interpolant of the sectioned coordinate; the remaining
-    coordinates are read off the same interpolant at the crossing time.
-    """
-    if direction not in ("up", "down", "both"):
-        raise ValueError(f"direction must be up/down/both, got {direction!r}")
-    if not 0 <= coordinate < traj.dimension:
-        raise ValueError(f"coordinate index {coordinate} out of range")
-    g = traj.states[:, coordinate] - level
-    up = (g[:-1] < 0.0) & (g[1:] >= 0.0)
-    down = (g[:-1] > 0.0) & (g[1:] <= 0.0)
-    mask = up if direction == "up" else down if direction == "down" else (up | down)
-    idx = np.flatnonzero(mask)
-
-    points = []
-    cross_times = []
-    keep = [j for j in range(traj.dimension) if j != coordinate]
-    for i in idx:
-        sten = _cubic_stencil(traj.times, i)
-        ts = traj.times[sten]
-        ys = traj.states[sten]
-
-        def phi(t):
-            return _lagrange_eval(ts, ys, t)[coordinate] - level
-
-        t_lo, t_hi = traj.times[i], traj.times[i + 1]
-        f_lo, f_hi = g[i], g[i + 1]
-        t_a, t_b, f_a, f_b = t_lo, t_hi, f_lo, f_hi
-        t_star = t_b
-        for _ in range(30):
-            if f_b == f_a:
-                break
-            t_star = t_b - f_b * (t_b - t_a) / (f_b - f_a)
-            t_star = min(max(t_star, t_lo), t_hi)
-            f_star = phi(t_star)
-            t_a, f_a, t_b, f_b = t_b, f_b, t_star, f_star
-            if abs(f_star) <= 1e-14 * max(1.0, abs(level)) or abs(t_b - t_a) <= 1e-15 * max(
-                1.0, abs(t_star)
-            ):
-                break
-        state = _lagrange_eval(ts, ys, t_star)
-        points.append(state[keep])
-        cross_times.append(t_star)
-
-    pts = np.array(points) if points else np.empty((0, traj.dimension - 1))
-    return SectionPoints(
-        plane=(coordinate, level, direction), points=pts, times=np.array(cross_times)
-    )

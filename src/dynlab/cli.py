@@ -10,15 +10,15 @@ byte.
 The whole config is checked before any command creates its output
 directory, every section whatever the command, because one config document
 serves every command: every number must be finite; times.t_transient,
-verify.samples, reduce.zero_tol, scan.extrema_cap and scan.eps_zero must be
->= 0; times.t_total, times.out_stride, lyapunov.renorm_interval and
-verify.horizon must be > 0; the integrator section must make an
-IntegratorConfig; the samples of a run over [0, times.t_total] and of
-verify's flow checks over [0, verify.horizon] must fit in memory.  So
-`verify` refuses times.out_stride = 0, which it does not read.  A command
-then checks only what is its own: lyapunov's t_total > t_transient, scan's
-flags, its window and a reduced start for a K-scan, and E != 0 for
-equilibrium.
+verify.samples, verify.tolerance, reduce.zero_tol, scan.extrema_cap and
+scan.eps_zero must be >= 0; times.t_total, times.out_stride,
+lyapunov.renorm_interval and verify.horizon must be > 0; the integrator
+section must make an IntegratorConfig; the samples of a run over
+[0, times.t_total] and of verify's flow checks over [0, verify.horizon] must
+fit in memory.  So `verify` refuses times.out_stride = 0, which it does not
+read.  A command then checks only what is its own: lyapunov's t_total >
+t_transient, scan's flags, its window and a reduced start for a K-scan, and
+E != 0 for equilibrium.
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration failure: blow-up, step budget spent or
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -80,7 +79,7 @@ _DEFAULTS = {
 _RANGES = {
     "times": {"t_transient": ">= 0", "t_total": "> 0", "out_stride": "> 0"},
     "lyapunov": {"renorm_interval": "> 0"},
-    "verify": {"samples": ">= 0", "horizon": "> 0"},
+    "verify": {"samples": ">= 0", "tolerance": ">= 0", "horizon": "> 0"},
     "reduce": {"zero_tol": ">= 0"},
     "scan": {"extrema_cap": ">= 0", "eps_zero": ">= 0"},
 }
@@ -484,8 +483,7 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> in
     rec_rows = []
     ext_rows = []
     for rec in records:
-        lams = list(rec.exponents) + [math.nan] * (dim - len(rec.exponents))
-        rec_rows.append([rec.param_value, rec.classification] + [float(v) for v in lams])
+        rec_rows.append([rec.param_value, rec.classification] + [float(v) for v in rec.exponents])
         for ex in rec.extrema_sample:
             ext_rows.append([rec.param_value, float(ex)])
     _write_text(os.path.join(directory, "scan_records.csv"), _csv_text(header, rec_rows))

@@ -165,11 +165,13 @@ def verification_suite(
     integrate the configured system over [0, horizon] from generic and
     on-plane starts, sampled every `FLOW_STRIDE`.  When `tolerance` is given
     it replaces every identity's default pass threshold (a zero tolerance
-    therefore fails everything).
+    therefore fails everything); a negative one raises ValueError.
     """
     from .integrator import IntegratorConfig, integrate
     from .model import full_system, lift
 
+    if tolerance is not None and not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if cfg is None:
         cfg = IntegratorConfig()
     rng = np.random.Generator(np.random.Philox(seed))

@@ -1,8 +1,9 @@
-"""Lyapunov machinery, stability eigenvalues, classification, scans, sections.
+"""Lyapunov machinery, stability eigenvalues, classification, scans and the
+scan's y1 maxima.
 
 Oracles: linear systems with known exponents, Jacobian eigenvalues at the
 fixed point, the divergence identity (spectrum sum = trace average), and
-exact circles for section geometry.
+sampled parabolas and cosines for the refined maxima.
 """
 
 import math
@@ -15,11 +16,11 @@ from dynlab import integrator
 from dynlab.analysis import (
     LyapunovReport,
     ScanSettings,
+    _local_maxima,
     classify,
     equilibrium_stability,
     lyapunov_spectrum,
     parameter_scan,
-    poincare_section,
     trace_average,
 )
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
@@ -217,24 +218,14 @@ class TestClassify:
 
     def test_stable_run_classified_equilibrium(self):
         p = Params(C=-3.0, D=-1.0, E=-1.0, F=0.0)
-        from dynlab.analysis import _spectra, terminal_variation
+        from dynlab.analysis import _spectra
 
         [(rep, traj, _)] = _spectra(
             [full_system(p)], [equilibrium(p) + 0.05], 20.0, 120.0, 1.0, FAST, out_stride=0.5
         )
         assert classify(rep, traj) == "equilibrium"
-        assert terminal_variation(traj) < 1e-6  # the tail has genuinely settled
-
-    def test_terminal_variation(self):
-        from dynlab.analysis import terminal_variation
-
-        t = np.arange(0.0, 10.0, 0.1)
-        settled = Trajectory(times=t, states=np.ones((t.size, 2)), dimension=2)
-        assert terminal_variation(settled) == 0.0
-        moving = Trajectory(
-            times=t, states=np.column_stack((np.cos(t), np.sin(t))), dimension=2
-        )
-        assert terminal_variation(moving) > 0.1
+        tail = traj.states[-math.ceil(0.1 * traj.times.size) :]  # the trailing tenth
+        assert np.abs(tail - tail[-1]).max() < 1e-6  # has genuinely settled
 
     def test_chaotic_attractor_classified_chaotic(self):
         p = Params(C=-0.6, D=-1.0, E=-0.5, F=0.0)
@@ -266,7 +257,7 @@ class TestParameterScan:
         )
         assert len(records) == 5
         assert all(r.classification == "equilibrium" for r in records)
-        assert all(r.largest_exponent < 0 for r in records)
+        assert all(r.exponents[0] < 0 for r in records)
 
     def test_empty_values(self):
         p = Params(C=-2.5, D=-1.0, E=-1.0, F=0.0)
@@ -349,16 +340,37 @@ class TestParameterScan:
             np.testing.assert_array_equal(a.extrema_sample, b.extrema_sample)
 
 
+class TestLocalMaxima:
+    """`_local_maxima` gives the scan's section: the maxima of y1, each refined
+    by the parabola through its sample and the two neighbours."""
+
+    @pytest.mark.parametrize("t_star, a, c", [(0.437, 3.0, 1.25), (0.5, 1.0, 2.0), (0.3141, 7.5, -0.8)])
+    def test_parabola_is_exact(self, t_star, a, c):
+        t = np.linspace(0.0, 1.0, 11)
+        maxima = _local_maxima(c - a * (t - t_star) ** 2, 8)
+        assert maxima.size == 1
+        assert abs(maxima[0] - c) <= 1e-15 * abs(c)
+
+    def test_cosine_maxima_near_one(self):
+        maxima = _local_maxima(np.cos(np.arange(0.0, 40.0, 0.1)), 64)
+        assert maxima.size == 6  # one per period after t = 0
+        np.testing.assert_allclose(maxima, 1.0, rtol=0.0, atol=1e-5)
+
+    def test_cap_keeps_the_trailing_maxima(self):
+        t = np.arange(0.0, 40.0, 0.1)
+        growing = t * np.cos(t)  # every maximum higher than the one before
+        every = _local_maxima(growing, 64)
+        assert every.size == 7 and np.all(np.diff(every) > 0.0)
+        np.testing.assert_array_equal(_local_maxima(growing, 3), every[-3:])
+        assert _local_maxima(growing, 0).size == 0
+        assert _local_maxima(t, 5).size == 0  # monotone: no maximum
+
+
 def assert_same_records(a, b):
     """Records equal field by field; NaNs must sit in the same places."""
     assert len(a) == len(b)
     for x, y in zip(a, b):
-        assert (x.param_name, x.param_value, x.classification) == (
-            y.param_name,
-            y.param_value,
-            y.classification,
-        )
-        np.testing.assert_array_equal(x.largest_exponent, y.largest_exponent)
+        assert (x.param_value, x.classification) == (y.param_value, y.classification)
         np.testing.assert_array_equal(x.exponents, y.exponents)
         np.testing.assert_array_equal(x.extrema_sample, y.extrema_sample)
 
@@ -438,63 +450,6 @@ class TestBatchedScan:
             got = self.scan(monkeypatch, min_batch, self.P, "C", vals, replace(s, workers=workers))
             assert [r.param_value for r in got] == vals
             assert_same_records(got, [by_value[v] for v in vals])
-
-
-class TestPoincareSection:
-    def test_circle_single_repeating_point(self):
-        """cos/sin orbit sectioned at first coordinate = 0, upward: the
-        remaining coordinate is -1 at every crossing (one per revolution)."""
-        traj = circle_trajectory()
-        sec = poincare_section(traj, 0, 0.0, "up")
-        assert sec.points.shape[1] == 1
-        revolutions = 40.0 / (2 * math.pi)
-        assert abs(sec.points.shape[0] - revolutions) <= 1.0
-        np.testing.assert_allclose(sec.points[:, 0], -1.0, atol=1e-6)
-        down = poincare_section(traj, 0, 0.0, "down")
-        np.testing.assert_allclose(down.points[:, 0], 1.0, atol=1e-6)
-
-    def test_equilibrium_no_crossings(self):
-        p = Params(C=-2.0, D=1.0, E=-1.0, F=1.0)
-        traj = integrate(full_system(p).field, equilibrium(p), 0.0, 5.0, 0.1, FAST)
-        sec = poincare_section(traj, 0, 0.5, "both")
-        assert sec.points.shape == (0, 4)
-
-    def test_crossing_residual_after_refinement(self):
-        """Secant-refined crossing times satisfy |coordinate - level| <= 1e-8
-        when the true flow (exact circle) is evaluated there."""
-        traj = circle_trajectory()
-        sec = poincare_section(traj, 0, 0.0, "up")
-        residual = np.abs(np.cos(sec.times))
-        assert residual.size > 0
-        assert residual.max() <= 1e-8
-
-    def test_level_offset_section(self):
-        traj = circle_trajectory()
-        sec = poincare_section(traj, 1, 0.5, "up")
-        # crossing sin t = 0.5 upward: cos t = +sqrt(3)/2
-        np.testing.assert_allclose(sec.points[:, 0], math.sqrt(3) / 2, atol=1e-6)
-
-    def test_counting_rate_constant(self):
-        """Crossings per unit time of a periodic orbit are steady (+-1)."""
-        traj = circle_trajectory(80.0, 0.02)
-        sec = poincare_section(traj, 0, 0.0, "up")
-        n = traj.times.size
-        quarters = []
-        for q in range(4):
-            sub = Trajectory(
-                times=traj.times[q * n // 4 : (q + 1) * n // 4],
-                states=traj.states[q * n // 4 : (q + 1) * n // 4],
-                dimension=2,
-            )
-            quarters.append(poincare_section(sub, 0, 0.0, "up").points.shape[0])
-        assert max(quarters) - min(quarters) <= 1
-
-    def test_validates_arguments(self):
-        traj = circle_trajectory(10.0, 0.1)
-        with pytest.raises(ValueError):
-            poincare_section(traj, 0, 0.0, "sideways")
-        with pytest.raises(ValueError):
-            poincare_section(traj, 5, 0.0, "up")
 
 
 class TestReducedFullConsistency:

@@ -412,6 +412,9 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
             id="verify-horizon=1e15",
         ),
         pytest.param(["verify", "--set", "times.out_stride=0"], "times.out_stride", id="verify-stride=0"),
+        pytest.param(["verify", "--set", "verify.tolerance=-1"], "verify.tolerance", id="verify-tolerance=-1"),
+        pytest.param(["simulate", "--set", "foo"], "--set expects key=value", id="set-no-value"),
+        pytest.param(["simulate", "--set", "params.C.x=1"], "crosses a non-object", id="set-through-number"),
         pytest.param(["equilibrium", "--set", "integrator.h_min=1"], "h_min", id="equilibrium-h_min=1"),
         pytest.param(["equilibrium", "--set", "params.E=0"], "E = 0", id="equilibrium-E=0"),
     ],

@@ -161,6 +161,12 @@ class TestVerificationSuite:
         reports = verification_suite(p, seed=3, samples=500, horizon=5.0, tolerance=0.0)
         assert not any(rep.passed for rep in reports.values())
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan])
+    def test_negative_tolerance_refused(self, tolerance):
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
+        with pytest.raises(ValueError, match="tolerance"):
+            verification_suite(p, samples=10, horizon=1.0, tolerance=tolerance)
+
     def test_pointwise_worst_matches_per_row_loop(self):
         """The vectorised pointwise checks give the worst residuals of a
         per-row loop over the public functions on the same samples."""
