@@ -30,7 +30,6 @@ from .integrator import (
 )
 from .invariants import (
     InvariantReport,
-    bilinear,
     check_trajectory,
     derivative_identity_residual,
     norm_derivative_forms,

@@ -331,7 +331,10 @@ def parameter_scan(
     """Sweep one parameter, producing a ScanRecord per value.
 
     param_name "K" sweeps the reduced system (3-D seed); C, D, E, F sweep the
-    full system (5-D seed).  Policy "fixed" reuses settings.y0 for every
+    full system (5-D seed).  The reduced field at K is the K = 0 field under
+    (z1, z2) -> s*(z1, z2), s = sqrt(1+K^2), so a K-scan from a fixed seed z0
+    is in exact arithmetic a scan of the starts (s*z0_1, s*z0_2, z0_3) of the
+    one K = 0 system.  Policy "fixed" reuses settings.y0 for every
     point and may run points in parallel processes; "follow" seeds each run
     with the previous terminal state and is sequential by nature.  Failed
     points are recorded as diverged and the scan continues.

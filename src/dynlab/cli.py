@@ -2,23 +2,31 @@
 
 Commands: simulate, verify, reduce, lyapunov, scan, equilibrium.  A run is
 described by one JSON document; --set overrides single keys via dotted paths
-(--set params.C=-2.5).  Outputs are CSV/JSON files written atomically
-(write to <name>.partial, then rename), so a plain file name never holds a
-half-written result.  Identical config + seed reproduces outputs byte for
+(--set params.C=-2.5).  Identical config + seed reproduces outputs byte for
 byte.
 
-The whole config is checked before any command creates its output
-directory, every section whatever the command, because one config document
-serves every command: every number must be finite; times.t_transient,
-verify.samples, verify.tolerance, reduce.zero_tol, scan.extrema_cap and
-scan.eps_zero must be >= 0; times.t_total, times.out_stride,
-lyapunov.renorm_interval and verify.horizon must be > 0; the integrator
-section must make an IntegratorConfig; the samples of a run over
-[0, times.t_total] and of verify's flow checks over [0, verify.horizon] must
-fit in memory.  So `verify` refuses times.out_stride = 0, which it does not
-read.  A command then checks only what is its own: lyapunov's t_total >
-t_transient, scan's flags, its window and a reduced start for a K-scan, and
-E != 0 for equilibrium.
+A command writes nothing: it returns its exit code and its files as
+{name: text}.  `main` makes the output directory and writes the files after
+the command returns, each atomically (to <name>.partial, then renamed), so a
+plain file name never holds a half-written result and a run that ends
+without outputs leaves no directory behind.
+
+The whole config is checked first, every section whatever the command,
+because one config document serves every command: every number must be
+finite; times.t_transient, verify.samples, verify.tolerance, reduce.zero_tol,
+scan.extrema_cap and scan.eps_zero must be >= 0; times.t_total,
+times.out_stride, lyapunov.renorm_interval and verify.horizon must be > 0;
+the integrator section must make an IntegratorConfig; the samples of a run
+over [0, times.t_total], those of verify's flow checks over
+[0, verify.horizon] and verify's random states must fit in memory; the start
+must be finite.  So `verify` refuses times.out_stride = 0, which it does not
+read.  Exit 3 is decided next, without making anything: the nearest existing
+ancestor of the output directory must be a directory this process may write.
+A command then checks only what is its own: lyapunov's t_total >
+t_transient, scan's flags, its window and a reduced start for a K-scan,
+E != 0 for equilibrium, and a finite lift of a reduced start for reduce and
+a C..F scan.  So a run that its command refuses exits 3, not 2, when its
+output directory cannot be written.
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration failure: blow-up, step budget spent or
@@ -211,6 +219,11 @@ def normalize_config(raw: dict) -> dict:
         check_schedule(0.0, cfg["verify"]["horizon"], FLOW_STRIDE)
     except ValueError as exc:
         raise ConfigError(f"verify.horizon: {exc}") from exc
+    samples = cfg["verify"]["samples"]
+    try:  # and so must its random states (an empty array of their shape is asked for, and dropped)
+        np.empty((samples, 5))
+    except (MemoryError, OverflowError, ValueError):
+        raise ConfigError(f"verify.samples = {samples!r} gives more states than an array can hold") from None
 
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
@@ -253,14 +266,19 @@ def apply_overrides(raw: dict, sets: list[str]) -> dict:
 
 
 def resolve_initial_state(cfg: dict, p: Params):
-    """Return (y0 array, kind) with kind 'full' or ('reduced', K)."""
+    """Return (y0 array, kind) with kind 'full' or ('reduced', K); refuses a
+    start past the float range."""
     state = cfg["initial_state"]
     if "full" in state:
         return np.array(state["full"], dtype=float), "full"
     if "reduced" in state:
         return np.array(state["reduced"], dtype=float), ("reduced", state["K"])
     if "equilibrium_offset" in state:  # equilibrium(p) refuses E = 0
-        return equilibrium(p) + np.array(state["equilibrium_offset"], dtype=float), "full"
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            y0 = equilibrium(p) + np.array(state["equilibrium_offset"], dtype=float)
+        if not np.all(np.isfinite(y0)):
+            raise ConfigError(f"initial_state gives a start that is not finite: {y0.tolist()!r}")
+        return y0, "full"
     box = state["random"]["box"]
     rng = np.random.Generator(np.random.Philox(cfg["seed"]))
     if isinstance(box[0], list):
@@ -268,7 +286,10 @@ def resolve_initial_state(cfg: dict, p: Params):
         hi = np.array([b[1] for b in box])
     else:
         lo, hi = box[0], box[1]
-    return rng.uniform(lo, hi, 5), "full"
+    try:
+        return rng.uniform(lo, hi, 5), "full"
+    except OverflowError:  # numpy's refusal of a box wider than the float range
+        raise ConfigError(f"initial_state.random.box {box!r} is wider than the float range") from None
 
 
 # --- output helpers --------------------------------------------------------
@@ -286,8 +307,8 @@ def _write_text(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _write_json(path: str, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -298,12 +319,15 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _out_dir(cfg: dict, override: str | None) -> str:
+    """The output directory, once it is known that it can be made and written:
+    its nearest existing ancestor must be a directory this process may write
+    and enter.  Makes nothing."""
     directory = override if override is not None else cfg["output"]["directory"]
-    os.makedirs(directory, exist_ok=True)
-    probe = os.path.join(directory, ".dynlab_write_probe")
-    with open(probe, "w") as fh:
-        fh.write("")
-    os.remove(probe)
+    ancestor = os.path.abspath(directory)
+    while not os.path.lexists(ancestor):  # a dangling link is not a directory
+        ancestor = os.path.dirname(ancestor)
+    if not (directory and os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise OSError(f"{directory!r} cannot be made or written (nearest existing path: {ancestor!r})")
     return directory
 
 
@@ -316,127 +340,98 @@ def _stats(traj) -> dict:
     }
 
 
-def _trajectory_rows(traj):
-    for t, row in zip(traj.times, traj.states):
-        yield [float(t)] + [float(v) for v in row]
-
-
-def _write_trajectory(directory: str, cfg: dict, traj, partial: bool = False) -> str:
-    d = traj.dimension
-    header = ["t"] + [f"y{i + 1}" for i in range(d)]
+def _trajectory_file(cfg: dict, traj) -> tuple[str, str]:
+    """(file name, text) of a trajectory in the configured format."""
+    header = ["t"] + [f"y{i + 1}" for i in range(traj.dimension)]
+    rows = [[t] + y for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     if cfg["output"]["format"] == "csv":
-        name = "trajectory.csv"
-        text = _csv_text(header, _trajectory_rows(traj))
-    else:
-        name = "trajectory.json"
-        text = json.dumps(
-            {
-                "columns": header,
-                "rows": list(_trajectory_rows(traj)),
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-    path = os.path.join(directory, name + (".partial" if partial else ""))
-    _write_text(path, text)
-    return path
+        return "trajectory.csv", _csv_text(header, rows)
+    return "trajectory.json", _json_text({"columns": header, "rows": rows})
+
+
+def _full_start(y0, kind):
+    """The start of a full-system run: a reduced start lifted to its K-plane."""
+    if kind == "full":
+        return y0
+    with np.errstate(over="ignore"):  # a product past the float range is refused below
+        y0 = lift(y0, kind[1])
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError(f"initial_state lifts to a start that is not finite: {y0.tolist()!r}")
+    return y0
 
 
 # --- commands ---------------------------------------------------------------
 
 # Each command takes the checked config, the Params, IntegratorConfig and
-# initial state (y0, kind) built from it, and the parsed arguments.
+# initial state (y0, kind) built from it, and the parsed arguments.  It
+# returns its exit code and its output files as {file name: text}, and
+# writes nothing: `main` does.
 
 
-def cmd_simulate(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
+def cmd_simulate(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
-    directory = _out_dir(cfg, args.out)
     try:
         traj = integrate(system.field, y0, 0.0, cfg["times"]["t_total"], cfg["times"]["out_stride"], icfg)
     except IntegrationError as exc:
         partial = getattr(exc, "partial_traj", None)
         diag = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
+        files = {}
         if partial is not None:
-            path = _write_trajectory(directory, cfg, partial, partial=True)
-            diag["partial_file"] = os.path.basename(path)
-        _write_json(os.path.join(directory, "run.json"), {**cfg, "stats": diag})
+            name, text = _trajectory_file(cfg, partial)
+            diag["partial_file"] = name + ".partial"
+            files[diag["partial_file"]] = text
+        files["run.json"] = _json_text({**cfg, "stats": diag})
         print(f"dynlab simulate: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    _write_trajectory(directory, cfg, traj)
-    _write_json(os.path.join(directory, "run.json"), {**cfg, "stats": _stats(traj)})
-    return EXIT_OK
+        return EXIT_BLOWUP, files
+    name, text = _trajectory_file(cfg, traj)
+    return EXIT_OK, {name: text, "run.json": _json_text({**cfg, "stats": _stats(traj)})}
 
 
-def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
-    v = cfg["verify"]
-    directory = _out_dir(cfg, args.out)
-    reports = verification_suite(
-        p,
-        seed=cfg["seed"],
-        samples=v["samples"],
-        horizon=v["horizon"],
-        cfg=icfg,
-        tolerance=v["tolerance"],
-    )
+def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+    reports = verification_suite(p, seed=cfg["seed"], cfg=icfg, **cfg["verify"])  # samples, tolerance, horizon
     payload = {
         name: {"max_residual": rep.max_rel_residual, "pass": rep.passed}
         for name, rep in reports.items()
     }
-    _write_json(os.path.join(directory, "verify_report.json"), payload)
-    return EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_VERIFY_FAILED
+    code = EXIT_OK if all(rep.passed for rep in reports.values()) else EXIT_VERIFY_FAILED
+    return code, {"verify_report.json": _json_text(payload)}
 
 
-def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
-    if kind != "full":
-        y0 = lift(y0, kind[1])
-    directory = _out_dir(cfg, args.out)
+def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+    y0 = _full_start(y0, kind)
     t_total, stride = cfg["times"]["t_total"], cfg["times"]["out_stride"]
     zero_tol = cfg["reduce"]["zero_tol"]
     comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
     drift = k_drift(comparison.full_trajectory, zero_tol=zero_tol)
     drift_rows = zip(drift.times.tolist(), drift.estimates.tolist())
-    _write_text(
-        os.path.join(directory, "k_drift.csv"), _csv_text(["t", "K"], drift_rows)
-    )
-    _write_json(
-        os.path.join(directory, "reduce_report.json"),
-        {
-            "K": {"kind": comparison.K.kind, "value": comparison.K.value},
-            "max_state_deviation": comparison.max_state_deviation,
-            "horizon": comparison.horizon,
-            "tol_used": comparison.tol_used,
-            "drift_file": "k_drift.csv",
-        },
-    )
-    return EXIT_OK
+    report = {
+        "K": {"kind": comparison.K.kind, "value": comparison.K.value},
+        "max_state_deviation": comparison.max_state_deviation,
+        "horizon": comparison.horizon,
+        "tol_used": comparison.tol_used,
+        "drift_file": "k_drift.csv",
+    }
+    return EXIT_OK, {"k_drift.csv": _csv_text(["t", "K"], drift_rows), "reduce_report.json": _json_text(report)}
 
 
-def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
+def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
     t_transient, t_total = cfg["times"]["t_transient"], cfg["times"]["t_total"]
     renorm_interval = cfg["lyapunov"]["renorm_interval"]
     if not t_total > t_transient:
         raise ConfigError("lyapunov requires times.t_total > times.t_transient")
-    directory = _out_dir(cfg, args.out)
     report = lyapunov_spectrum(system, y0, t_transient, t_total, renorm_interval, icfg)
     d = system.dim
     header = ["t"] + [f"lambda{i + 1}" for i in range(d)]
-    rows = (
-        [float(t)] + [float(v) for v in row]
-        for t, row in zip(report.trace_times, report.convergence_trace)
-    )
-    _write_text(os.path.join(directory, "lyapunov_trace.csv"), _csv_text(header, rows))
-    _write_json(
-        os.path.join(directory, "lyapunov_report.json"),
-        {
-            "exponents": [float(v) for v in report.exponents],
-            "t_total": report.t_total,
-            "renorm_interval": report.renorm_interval,
-            "diverged": report.diverged,
-            "trace_file": "lyapunov_trace.csv",
-        },
-    )
-    return EXIT_OK
+    rows = ([t] + row for t, row in zip(report.trace_times.tolist(), report.convergence_trace.tolist()))
+    summary = {
+        "exponents": [float(v) for v in report.exponents],
+        "t_total": report.t_total,
+        "renorm_interval": report.renorm_interval,
+        "diverged": report.diverged,
+        "trace_file": "lyapunov_trace.csv",
+    }
+    return EXIT_OK, {"lyapunov_trace.csv": _csv_text(header, rows), "lyapunov_report.json": _json_text(summary)}
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -449,18 +444,19 @@ plot "scan_extrema.csv" every ::1 using 1:2 with dots lc rgb "black"
 """
 
 
-def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
+def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     param = args.param
     if param == "K":
         if kind == "full":
             raise ConfigError("a K-scan (--param K) needs a reduced initial_state")
         dim = 3
     else:
-        if kind != "full":
-            y0 = lift(y0, kind[1])
+        y0 = _full_start(y0, kind)
         dim = 5
-    if args.steps < 0:
-        raise ConfigError("--steps must be >= 0")
+    try:  # numpy refuses a negative count and one that no array can hold
+        np.empty(args.steps)
+    except (MemoryError, OverflowError, ValueError):
+        raise ConfigError(f"--steps must be >= 0 and fit in an array, got {args.steps}") from None
     settings = ScanSettings(
         y0=tuple(y0.tolist()),
         t_transient=cfg["times"]["t_transient"],
@@ -476,7 +472,6 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> in
         values = np.linspace(args.min, args.max, args.steps) if args.steps else []
     if not np.all(np.isfinite(values)):
         raise ConfigError("--min and --max must give finite scan values")
-    directory = _out_dir(cfg, args.out)
     records = parameter_scan(p, param, values, args.policy, settings)
 
     header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(dim)]
@@ -486,25 +481,24 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> in
         rec_rows.append([rec.param_value, rec.classification] + [float(v) for v in rec.exponents])
         for ex in rec.extrema_sample:
             ext_rows.append([rec.param_value, float(ex)])
-    _write_text(os.path.join(directory, "scan_records.csv"), _csv_text(header, rec_rows))
-    _write_text(
-        os.path.join(directory, "scan_extrema.csv"), _csv_text(["param", "extremum"], ext_rows)
-    )
-    if args.gnuplot:
-        _write_text(
-            os.path.join(directory, "scan.gp"), _GNUPLOT_TEMPLATE.format(param=param)
-        )
-    return EXIT_OK
-
-
-def cmd_equilibrium(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args) -> int:
-    payload = {  # equilibrium(p) refuses E = 0 before the output directory is made
-        "equilibrium": [float(v) for v in equilibrium(p)],
-        "eigenvalues": [{"re": float(w.real), "im": float(w.imag)} for w in equilibrium_stability(p)],
+    files = {
+        "scan_records.csv": _csv_text(header, rec_rows),
+        "scan_extrema.csv": _csv_text(["param", "extremum"], ext_rows),
     }
-    _write_json(os.path.join(_out_dir(cfg, args.out), "equilibrium_report.json"), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+    if args.gnuplot:
+        files["scan.gp"] = _GNUPLOT_TEMPLATE.format(param=param)
+    return EXIT_OK, files
+
+
+def cmd_equilibrium(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+    text = _json_text(
+        {
+            "equilibrium": [float(v) for v in equilibrium(p)],  # refuses E = 0
+            "eigenvalues": [{"re": float(w.real), "im": float(w.imag)} for w in equilibrium_stability(p)],
+        }
+    )
+    print(text, end="")
+    return EXIT_OK, {"equilibrium_report.json": text}
 
 
 _COMMANDS = {
@@ -561,7 +555,12 @@ def main(argv=None) -> int:
         cfg = normalize_config(apply_overrides(raw, args.sets))
         p = Params(**cfg["params"])
         y0, kind = resolve_initial_state(cfg, p)
-        return _COMMANDS[args.command](cfg, p, IntegratorConfig(**cfg["integrator"]), y0, kind, args)
+        directory = _out_dir(cfg, args.out)
+        code, files = _COMMANDS[args.command](cfg, p, IntegratorConfig(**cfg["integrator"]), y0, kind, args)
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files.items():
+            _write_text(os.path.join(directory, name), text)
+        return code
     except (ConfigError, DegenerateParametersError, ValueError) as exc:
         print(f"dynlab: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DynlabError
-from .model import Params, _as_state, _full_rhs
+from .integrator import IntegratorConfig, integrate
+from .model import Params, _as_state, _full_rhs, full_system, lift
 
 __all__ = [
     "InvariantReport",
-    "bilinear",
     "derivative_identity_residual",
     "quadratic_norm",
     "norm_derivative_forms",
@@ -51,12 +51,6 @@ class InvariantReport:
     max_rel_residual: float
     worst_time: float
     passed: bool
-
-
-def bilinear(y) -> float:
-    """B(y) = y1*y5 - y2*y4."""
-    y1, y2, _, y4, y5 = _as_state(y, 5)
-    return y1 * y5 - y2 * y4
 
 
 def derivative_identity_residual(y, p: Params) -> float:
@@ -167,9 +161,6 @@ def verification_suite(
     it replaces every identity's default pass threshold (a zero tolerance
     therefore fails everything); a negative one raises ValueError.
     """
-    from .integrator import IntegratorConfig, integrate
-    from .model import full_system, lift
-
     if tolerance is not None and not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if cfg is None:

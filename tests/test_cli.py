@@ -200,6 +200,7 @@ class TestReduce:
         cfg = write_config(tmp_path)  # y0=(1,0,0,0,1) has bilinear 1
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 5
         assert capsys.readouterr().err.startswith("dynlab: ")
+        assert not (tmp_path / "x").exists()
 
     def test_step_budget_exit_4(self, tmp_path, capsys):
         cfg = write_config(
@@ -212,6 +213,7 @@ class TestReduce:
         )
         assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
         assert capsys.readouterr().err.startswith("dynlab: max_steps = 3 exhausted")
+        assert not (tmp_path / "x").exists()
 
     def test_manifold_reduction_report(self, tmp_path):
         cfg = write_config(
@@ -367,6 +369,12 @@ VALID = {
 }
 FULL_START = 'initial_state={"full": [0.5, -0.3, 0.2, 0.0, 0.0]}'
 FULL_NAN = 'initial_state={"full": [NaN, 0.0, 0.0, 0.0, 1.0]}'
+# Starts whose numbers are finite but whose state is not: -F/E, the box's
+# width and K*z each pass the float range.
+EQ_OVERFLOW = ["--set", "params.E=1e-300", "--set", "params.F=1e10",
+               "--set", 'initial_state={"equilibrium_offset": [0, 0, 0, 0, 0]}']
+BOX_OVERFLOW = ["--set", 'initial_state={"random": {"box": [-1e308, 1e308]}}']
+LIFT_OVERFLOW = ["--set", 'initial_state={"reduced": [1e300, 1e300, 0], "K": 1e300}']
 
 
 def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
@@ -394,6 +402,12 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         pytest.param(["simulate", "--set", "times.t_total=1e300"], "out_stride", id="simulate-t_total=1e300"),
         pytest.param(["simulate", "--set", "params.C=NaN"], "params.C", id="simulate-C=NaN"),
         pytest.param(["simulate", "--set", FULL_NAN], "initial_state.full", id="simulate-full=NaN"),
+        pytest.param(["simulate"] + EQ_OVERFLOW, "initial_state", id="simulate-equilibrium=inf"),
+        pytest.param(["verify"] + BOX_OVERFLOW, "initial_state", id="verify-box=overflow"),
+        pytest.param(["reduce"] + LIFT_OVERFLOW, "initial_state", id="reduce-lift=inf"),
+        pytest.param(scan_argv() + LIFT_OVERFLOW, "initial_state", id="scan-lift=inf"),
+        pytest.param(scan_argv(steps=str(10**15)), "--steps", id="scan-steps=1e15"),
+        pytest.param(["verify", "--set", f"verify.samples={10**15}"], "verify.samples", id="verify-samples=1e15"),
         pytest.param(["reduce", "--set", "times.out_stride=0"], "times.out_stride", id="reduce-stride=0"),
         pytest.param(["reduce", "--set", "reduce.zero_tol=-1"], "reduce.zero_tol", id="reduce-zero_tol=-1"),
         pytest.param(["lyapunov", "--set", "times.t_transient=5"], "times.t_total", id="lyapunov-transient=total"),
@@ -435,8 +449,31 @@ def test_rejected_config_creates_no_directory(tmp_path, capsys, args, name):
     [["simulate"], ["verify"], ["reduce"], ["lyapunov"], scan_argv(), ["equilibrium"]],
     ids=lambda args: args[0],
 )
-def test_unwritable_output_exits_3(tmp_path, capsys, args):
+def test_unwritable_output_exits_3(tmp_path, capsys, monkeypatch, args):
+    """Exit 3 is decided before any work: no command gets to integrate."""
+    forbid_work(monkeypatch)
     (tmp_path / "file").write_text("")
     out = tmp_path / "file" / "sub"  # a path below a regular file, since a root user may write anywhere
     assert main(args + ["--config", write_config(tmp_path, VALID), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("dynlab: cannot write output:")
+
+
+@pytest.mark.parametrize("kind", ["dangling-link", "empty"])
+def test_output_that_cannot_be_made_exits_3(tmp_path, capsys, monkeypatch, kind):
+    """os.makedirs refuses a dangling link and an empty path; so does the
+    check before any work."""
+    forbid_work(monkeypatch)
+    out = ""
+    if kind == "dangling-link":
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "nowhere")
+    assert main(["simulate", "--config", write_config(tmp_path, VALID), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("dynlab: cannot write output:")
+
+
+def forbid_work(monkeypatch):
+    def work(*a, **k):
+        raise AssertionError("a command ran before its output was found unwritable")
+
+    for name in ("integrate", "verification_suite", "compare_full_vs_reduced", "lyapunov_spectrum", "parameter_scan"):
+        monkeypatch.setattr(f"dynlab.cli.{name}", work)

@@ -13,7 +13,6 @@ import pytest
 from dynlab.errors import DimensionMismatchError
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
 from dynlab.invariants import (
-    bilinear,
     check_trajectory,
     derivative_identity_residual,
     norm_derivative_forms,
@@ -23,13 +22,6 @@ from dynlab.invariants import (
 from dynlab.model import Params, equilibrium, full_system, full_vector_field, lift
 
 RNG = np.random.default_rng(23)
-
-
-class TestBilinear:
-    def test_values(self):
-        assert bilinear([1.0, 0.0, 9.0, 0.0, 1.0]) == 1.0
-        assert bilinear([1.0, 2.0, -3.0, 3.0, 6.0]) == 0.0
-        assert bilinear([2.0, 1.0, 0.0, -1.0, 1.0]) == 3.0
 
 
 class TestDerivativeIdentity:
