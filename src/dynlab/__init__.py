@@ -17,9 +17,7 @@ from .model import (
     full_vector_field,
     lift,
     project,
-    reduced_jacobian,
     reduced_system,
-    reduced_vector_field,
 )
 from .integrator import (
     IntegratorConfig,

@@ -16,7 +16,8 @@ because one config document serves every command: every number must be
 finite; times.t_transient, verify.samples, verify.tolerance, reduce.zero_tol,
 scan.extrema_cap and scan.eps_zero must be >= 0; times.t_total,
 times.out_stride, lyapunov.renorm_interval and verify.horizon must be > 0;
-the integrator section must make an IntegratorConfig; the samples of a run
+output.format must be csv or json; params must give C, D, E and F; the
+integrator section must make an IntegratorConfig; the samples of a run
 over [0, times.t_total], those of verify's flow checks over
 [0, verify.horizon] and verify's random states must fit in memory; the start
 must be finite.  So `verify` refuses times.out_stride = 0, which it does not
@@ -30,9 +31,10 @@ output directory cannot be written.
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration failure: blow-up, step budget spent or
-step below h_min (simulate keeps its partial trajectory with a .partial
-suffix); 5 initial state not on a limit set, or its two ratios disagree
-(reduce).
+step below h_min, verify's flow runs included (simulate keeps its partial
+trajectory with a .partial suffix, lyapunov its report marked diverged and
+the trace of the intervals that completed); 5 initial state not on a limit
+set, or its two ratios disagree (reduce).
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ EXIT_BLOWUP = 4
 EXIT_NOT_ON_LIMIT_SET = 5
 
 # Each section's keys and defaults; a key's value in a config must have its
-# default's kind (str, int or float), and a None default means an optional
-# float.
+# default's kind (str, int or float), a None default means an optional float
+# and a `float` default a required one.
 _DEFAULTS = {
-    "params": None,  # required
+    "params": dict.fromkeys("CDEF", float),
     "initial_state": {"random": {"box": [-5.0, 5.0]}},
     "integrator": asdict(IntegratorConfig()),
     "times": {"t_transient": 200.0, "t_total": 2200.0, "out_stride": 0.1},
@@ -90,9 +92,12 @@ _RANGES = {
     "verify": {"samples": ">= 0", "tolerance": ">= 0", "horizon": "> 0"},
     "reduce": {"zero_tol": ">= 0"},
     "scan": {"extrema_cap": ">= 0", "eps_zero": ">= 0"},
+    "output": {"format": "'csv' or 'json'"},
 }
+_RULES = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, "'csv' or 'json'": lambda v: v in ("csv", "json")}
 
-_STATE_VARIANTS = ("full", "reduced", "equilibrium_offset", "random")
+# Each initial_state variant and the length of its vector (random has none).
+_STATE_VARIANTS = {"full": 5, "reduced": 3, "equilibrium_offset": 5, "random": None}
 
 
 # --- config handling -------------------------------------------------------
@@ -134,7 +139,8 @@ def _as_kind(value, default, where: str):
 
 def normalize_config(raw: dict) -> dict:
     """Validate a raw config dict and fill defaults; rejects unknown keys, a
-    number out of its range (`_RANGES`) and an invalid integrator section.
+    missing parameter, a value out of its range (`_RANGES`) and an invalid
+    integrator section.
 
     The returned dict is complete and JSON-stable: writing it back out and
     re-parsing reproduces the same run.  A top-level "stats" key (written by
@@ -144,16 +150,23 @@ def normalize_config(raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     _require_keys(raw, list(_DEFAULTS) + ["stats"], "config")
     cfg = {}
-
-    if "params" not in raw or not isinstance(raw["params"], dict):
-        raise ConfigError("config requires a 'params' object")
-    _require_keys(raw["params"], ("C", "D", "E", "F"), "params")
-    cfg["params"] = {
-        k: _as_number(raw["params"].get(k, 0.0), f"params.{k}") for k in ("C", "D", "E", "F")
-    }
-    for k in ("C", "D", "E", "F"):
-        if k not in raw["params"]:
-            raise ConfigError(f"params.{k} is required")
+    for section in ("params", "integrator", "times", "lyapunov", "verify", "reduce", "scan", "output"):
+        given = raw.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section} must be an object")
+        defaults = _DEFAULTS[section]
+        _require_keys(given, defaults, section)
+        merged = dict(defaults)
+        for k, v in given.items():
+            merged[k] = _as_kind(v, defaults[k], f"{section}.{k}")
+        for k, v in merged.items():
+            if v is float:
+                raise ConfigError(f"{section}.{k} is required")
+        for k, rule in _RANGES.get(section, {}).items():
+            v = merged[k]
+            if v is not None and not _RULES[rule](v):
+                raise ConfigError(f"{section}.{k} must be {rule}, got {v!r}")
+        cfg[section] = merged
 
     state = copy.deepcopy(raw.get("initial_state", _DEFAULTS["initial_state"]))
     if not isinstance(state, dict):
@@ -161,23 +174,15 @@ def normalize_config(raw: dict) -> dict:
     variants = [k for k in state if k in _STATE_VARIANTS]
     if len(variants) != 1:
         raise ConfigError(
-            f"initial_state needs exactly one of {_STATE_VARIANTS}, got {sorted(state)}"
+            f"initial_state needs exactly one of {tuple(_STATE_VARIANTS)}, got {sorted(state)}"
         )
     variant = variants[0]
-    if variant == "full":
-        _require_keys(state, ("full",), "initial_state")
-        state["full"] = _as_vector(state["full"], 5, "initial_state.full")
-    elif variant == "equilibrium_offset":
-        _require_keys(state, ("equilibrium_offset",), "initial_state")
-        state["equilibrium_offset"] = _as_vector(
-            state["equilibrium_offset"], 5, "initial_state.equilibrium_offset"
-        )
-    elif variant == "reduced":
-        _require_keys(state, ("reduced", "K"), "initial_state")
-        state["reduced"] = _as_vector(state["reduced"], 3, "initial_state.reduced")
-        state["K"] = _as_number(state.get("K", 0.0), "initial_state.K")
-    else:  # random
-        _require_keys(state, ("random",), "initial_state")
+    _require_keys(state, (variant, "K") if variant == "reduced" else (variant,), "initial_state")
+    if variant != "random":
+        state[variant] = _as_vector(state[variant], _STATE_VARIANTS[variant], f"initial_state.{variant}")
+        if variant == "reduced":
+            state["K"] = _as_number(state.get("K", 0.0), "initial_state.K")
+    else:
         box = state["random"]
         if not isinstance(box, dict):
             raise ConfigError("initial_state.random must be an object")
@@ -189,23 +194,8 @@ def normalize_config(raw: dict) -> dict:
             if not isinstance(b, list) or len(b) != 5:
                 raise ConfigError("random.box must be [lo, hi] or five [lo, hi] pairs")
             box["box"] = [_as_vector(pair, 2, "random.box[i]") for pair in b]
-        state["random"] = box
     cfg["initial_state"] = state
 
-    for section in ("integrator", "times", "lyapunov", "verify", "reduce", "scan"):
-        given = raw.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"{section} must be an object")
-        defaults = _DEFAULTS[section]
-        _require_keys(given, defaults, section)
-        merged = dict(defaults)
-        for k, v in given.items():
-            merged[k] = _as_kind(v, defaults[k], f"{section}.{k}")
-        for k, rule in _RANGES.get(section, {}).items():
-            v = merged[k]
-            if v is not None and not (v > 0 if rule == "> 0" else v >= 0):
-                raise ConfigError(f"{section}.{k} must be {rule}, got {v!r}")
-        cfg[section] = merged
     try:
         IntegratorConfig(**cfg["integrator"])
     except ValueError as exc:
@@ -229,18 +219,6 @@ def normalize_config(raw: dict) -> dict:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
     cfg["seed"] = seed
-
-    out = raw.get("output", {})
-    if not isinstance(out, dict):
-        raise ConfigError("output must be an object")
-    _require_keys(out, ("directory", "format"), "output")
-    merged_out = dict(_DEFAULTS["output"])
-    merged_out.update(out)
-    if not isinstance(merged_out["directory"], str):
-        raise ConfigError("output.directory must be a string")
-    if merged_out["format"] not in ("csv", "json"):
-        raise ConfigError("output.format must be 'csv' or 'json'")
-    cfg["output"] = merged_out
     return cfg
 
 
@@ -431,7 +409,10 @@ def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
         "diverged": report.diverged,
         "trace_file": "lyapunov_trace.csv",
     }
-    return EXIT_OK, {"lyapunov_trace.csv": _csv_text(header, rows), "lyapunov_report.json": _json_text(summary)}
+    if report.diverged:  # the report keeps the intervals that completed
+        print(f"dynlab lyapunov: run failed after {len(report.trace_times)} renorm intervals", file=sys.stderr)
+    code = EXIT_BLOWUP if report.diverged else EXIT_OK
+    return code, {"lyapunov_trace.csv": _csv_text(header, rows), "lyapunov_report.json": _json_text(summary)}
 
 
 _GNUPLOT_TEMPLATE = """\

@@ -54,8 +54,6 @@ __all__ = [
     "DynamicalSystem",
     "full_vector_field",
     "full_jacobian",
-    "reduced_vector_field",
-    "reduced_jacobian",
     "equilibrium",
     "lift",
     "project",
@@ -234,11 +232,6 @@ def _reduced_jac(z, K, C, D, E) -> list:
 # --- validated public forms --------------------------------------------------
 
 
-def _check_k(K: float):
-    if not math.isfinite(K):
-        raise InvalidStateError(f"K is not finite: {K!r}")
-
-
 def full_vector_field(y, p: Params) -> np.ndarray:
     """Right-hand side of the full five-dimensional system."""
     return np.array(_full_rhs(_as_state(y, 5), p.C, p.D, p.E, p.F))
@@ -247,20 +240,6 @@ def full_vector_field(y, p: Params) -> np.ndarray:
 def full_jacobian(y, p: Params) -> np.ndarray:
     """Analytic 5x5 partial-derivative matrix of full_vector_field."""
     return np.array(_full_jac(_as_state(y, 5), p.C, p.D, p.E)).reshape(5, 5)
-
-
-def reduced_vector_field(z, K: float, p: Params) -> np.ndarray:
-    """Right-hand side of the reduced third-order system on a K-plane."""
-    z = _as_state(z, 3)
-    _check_k(K)
-    return np.array(_reduced_rhs(z, K, p.C, p.D, p.E, p.F))
-
-
-def reduced_jacobian(z, K: float, p: Params) -> np.ndarray:
-    """Analytic 3x3 partial-derivative matrix of reduced_vector_field."""
-    z = _as_state(z, 3)
-    _check_k(K)
-    return np.array(_reduced_jac(z, K, p.C, p.D, p.E)).reshape(3, 3)
 
 
 def equilibrium(p: Params) -> np.ndarray:
@@ -365,7 +344,8 @@ def full_system(p: Params) -> DynamicalSystem:
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
     """The reduced 3-D system on the K-plane, packaged for the integrator."""
-    _check_k(K)
+    if not math.isfinite(K):
+        raise InvalidStateError(f"K is not finite: {K!r}")
     K = float(K)  # a float, as Params stores its constants
     C, D, E, F = p.C, p.D, p.E, p.F
     return _kernel_system((_reduced_rhs, (K, C, D, E, F)), (_reduced_jac, (K, C, D, E)), 3)

@@ -31,7 +31,6 @@ from dynlab.model import (
     full_jacobian,
     full_system,
     lift,
-    reduced_jacobian,
     reduced_system,
 )
 
@@ -106,7 +105,7 @@ class TestLyapunovSpectrum:
         p = Params(C=-3.0, D=-1.0, E=-1.0, F=0.5)
         K = 0.8
         z_eq = np.array([0.0, 0.0, -p.F / p.E])
-        eig = np.sort(np.linalg.eigvals(reduced_jacobian(z_eq, K, p)).real)[::-1]
+        eig = np.sort(np.linalg.eigvals(reduced_system(p, K).jacobian(0.0, z_eq)).real)[::-1]
         rep = lyapunov_spectrum(reduced_system(p, K), z_eq, 0.0, 500.0, 1.0, IntegratorConfig())
         np.testing.assert_allclose(rep.exponents, eig, atol=1e-2)
 
@@ -157,6 +156,28 @@ class TestLyapunovSpectrum:
         assert np.min(np.abs(rep.exponents - 2.0 * p.C)) < 1e-2
         assert np.min(np.abs(rep.exponents)) < 1e-2
         assert abs(rep.exponents.sum() - (4.0 * p.C + p.E)) < 1e-5
+
+    @pytest.mark.parametrize("C", [-1.5, -1.0])
+    def test_k_scan_is_one_system_within_log_s_over_T(self, C):
+        """A K-scan from z0_K = (u0_1/s, u0_2/s, u0_3), s = sqrt(1+K^2), runs
+        the K = 0 system from u0: S z_K(t) = u(t) with S = diag(s, s, 1).  The
+        identity frame in z is S in u, which changes each k-volume by a
+        factor in [1, s], so over the window T = 150 each exponent moves by at
+        most log(s)/T; the sum stays the exact trace 2C+E.  C = -1.0 is
+        chaotic."""
+        p = Params(C=C, D=-1.0, E=-0.5, F=0.0)
+        cfg = IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8)
+        u0 = np.array([0.8, -0.5, 0.2])
+        spectra = {}
+        for K in (0.0, 0.5, 1.0, 1.5, -2.0):
+            s = math.sqrt(1.0 + K * K)
+            z0 = u0 / np.array([s, s, 1.0])
+            rep = lyapunov_spectrum(reduced_system(p, K), z0, 100.0, 250.0, 1.0, cfg)
+            assert not rep.diverged
+            assert abs(rep.exponents.sum() - (2.0 * C + p.E)) <= 1e-6
+            spectra[K] = (rep.exponents, math.log(s) / 150.0 + 1e-6)
+        for K, (lam, bound) in spectra.items():
+            assert np.max(np.abs(lam - spectra[0.0][0])) <= bound, K
 
     def test_diverged_report(self):
         cfg = IntegratorConfig(abs_tol=1e-9, rel_tol=1e-9, max_steps=5000)

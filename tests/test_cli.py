@@ -194,6 +194,15 @@ class TestVerify:
             blobs.append((out / "verify_report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_failed_flow_run_exits_4(self, tmp_path, capsys):
+        """A flow run that spends its step budget is an integration failure,
+        not a failed identity, and leaves no report."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--set", "integrator.max_steps=50"]) == 4
+        assert capsys.readouterr().err.startswith("dynlab: max_steps = 50 exhausted")
+        assert not out.exists()
+
 
 class TestReduce:
     def test_off_limit_set_exit_5(self, tmp_path, capsys):
@@ -281,6 +290,19 @@ class TestLyapunov:
         assert main(["lyapunov", "--config", cfg2, "--out", str(out2)]) == 0
         report2 = json.loads((out2 / "lyapunov_report.json").read_text())
         assert len(report2["exponents"]) == 3
+
+    def test_failed_run_exits_4_with_its_report(self, tmp_path, capsys):
+        """The step budget runs out after the first renorm interval: the run
+        exits 4 and keeps a diverged report and the trace of what completed."""
+        cfg = write_config(tmp_path, {"times": {"t_transient": 0.0, "t_total": 20.0, "out_stride": 0.25}})
+        out = tmp_path / "run"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out), "--set", "integrator.max_steps=60"]) == 4
+        report = json.loads((out / "lyapunov_report.json").read_text())
+        assert report["diverged"]
+        _, rows = read_csv(out / "lyapunov_trace.csv")
+        assert len(rows) >= 1
+        err = capsys.readouterr().err
+        assert err == f"dynlab lyapunov: run failed after {len(rows)} renorm intervals\n"
 
 
 class TestScan:
@@ -427,6 +449,10 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         ),
         pytest.param(["verify", "--set", "times.out_stride=0"], "times.out_stride", id="verify-stride=0"),
         pytest.param(["verify", "--set", "verify.tolerance=-1"], "verify.tolerance", id="verify-tolerance=-1"),
+        pytest.param(["simulate", "--set", "output.format=xml"], "output.format", id="output-format=xml"),
+        pytest.param(
+            ["simulate", "--set", 'params={"D": -1, "E": -0.5, "F": 0}'], "params.C", id="params-without-C"
+        ),
         pytest.param(["simulate", "--set", "foo"], "--set expects key=value", id="set-no-value"),
         pytest.param(["simulate", "--set", "params.C.x=1"], "crosses a non-object", id="set-through-number"),
         pytest.param(["equilibrium", "--set", "integrator.h_min=1"], "h_min", id="equilibrium-h_min=1"),

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dynlab.errors import DimensionMismatchError
+from dynlab.errors import DimensionMismatchError, StepBudgetError
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
 from dynlab.invariants import (
     check_trajectory,
@@ -184,3 +184,47 @@ class TestVerificationSuite:
         for name, value in worst.items():
             assert value > 0.0
             assert reports[name].max_rel_residual == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("tolerance", [None, 1e-11])
+    def test_flow_reports_are_those_of_the_worst_run(self, tolerance):
+        """The flow reports equal check_trajectory's on the suite's three runs,
+        drawn after the pointwise samples: the worst bilinear law of the two
+        generic starts and the lifted one, and the lifted run's
+        proportionality, each against its own tolerance."""
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
+        cfg = IntegratorConfig()
+        int_tol = max(cfg.abs_tol, cfg.rel_tol)
+        flow_tol = 100.0 * int_tol if tolerance is None else tolerance
+        prop_tol = 10.0 * int_tol if tolerance is None else tolerance
+        samples, horizon = 300, 3.0
+        for seed in (0, 1, 7):
+            rng = np.random.Generator(np.random.Philox(seed))
+            rng.uniform(-10.0, 10.0, (samples, 5))
+            rng.uniform(-3.0, 3.0, (samples, 4))
+            starts = [rng.uniform(-2.0, 2.0, 5), rng.uniform(-2.0, 2.0, 5)]
+            z0 = rng.uniform(-1.5, 1.5, 3)
+            starts.append(lift(z0, rng.uniform(-2.0, 2.0)))
+            runs = [integrate(full_system(p).field, y0, 0.0, horizon, 0.1, cfg) for y0 in starts]
+            laws = [check_trajectory(traj, p, flow_tol)["bilinear_law"] for traj in runs]
+            worst = laws[int(np.argmax([rep.max_rel_residual for rep in laws]))]
+            prop = check_trajectory(runs[2], p, prop_tol)["proportionality"]
+            reports = verification_suite(p, seed=seed, samples=samples, horizon=horizon, tolerance=tolerance)
+            assert reports["bilinear_flow_law"] == worst
+            assert reports["proportionality_flow"] == prop
+
+    def test_failed_flow_run_raises(self, monkeypatch):
+        """A flow run that fails is not reported as a failed identity: its
+        error reaches the caller."""
+        calls = []
+
+        def integrate_failing_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StepBudgetError("max_steps = 1 exhausted", t=0.5)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr("dynlab.invariants.integrate", integrate_failing_second)
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
+        with pytest.raises(StepBudgetError, match="max_steps"):
+            verification_suite(p, seed=3, samples=100, horizon=2.0)
+        assert len(calls) == 2

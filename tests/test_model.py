@@ -19,9 +19,7 @@ from dynlab.model import (
     full_system,
     lift,
     project,
-    reduced_jacobian,
     reduced_system,
-    reduced_vector_field,
 )
 
 RNG = np.random.default_rng(7)
@@ -106,14 +104,14 @@ class TestReducedField:
         for K in (-1.5, 0.0, 2.0):
             z = np.array([0.0, 0.0, 1.3])
             np.testing.assert_allclose(
-                reduced_vector_field(z, K, p), [0.0, 0.0, p.E * 1.3 + p.F], atol=1e-15
+                reduced_system(p, K).field(0.0, z), [0.0, 0.0, p.E * 1.3 + p.F], atol=1e-15
             )
 
     def test_k_zero_matches_planar_full_system(self):
         p = Params(C=-0.8, D=-1.0, E=-0.5, F=0.2)
         for _ in range(50):
             z = RNG.uniform(-3.0, 3.0, 3)
-            g3 = reduced_vector_field(z, 0.0, p)
+            g3 = reduced_system(p, 0.0).field(0.0, z)
             g5 = full_vector_field(np.array([z[0], z[1], z[2], 0.0, 0.0]), p)
             np.testing.assert_array_equal(g3, g5[:3])
 
@@ -123,19 +121,19 @@ class TestReducedField:
         z = np.array([1.0, 0.0, 0.0])
         oracle = full_vector_field(lift(z, 1.0), p)[:3]
         np.testing.assert_allclose(oracle, [-1.0, 2.25, 0.0], atol=1e-15)
-        np.testing.assert_allclose(reduced_vector_field(z, 1.0, p), oracle, atol=1e-15)
+        np.testing.assert_allclose(reduced_system(p, 1.0).field(0.0, z), oracle, atol=1e-15)
 
 
 class TestReducedJacobian:
     def test_entry_33_is_E(self):
         p = Params(C=1.0, D=0.5, E=-1.7, F=0.0)
         for K in (-2.0, 0.0, 0.5):
-            J = reduced_jacobian(RNG.uniform(-4, 4, 3), K, p)
+            J = reduced_system(p, K).jacobian(0.0, RNG.uniform(-4, 4, 3))
             assert J[2, 2] == p.E
 
     def test_row1_at_origin(self):
         p = Params(C=-2.1, D=1.0, E=-1.0, F=0.0)
-        J = reduced_jacobian(np.zeros(3), 0.7, p)
+        J = reduced_system(p, 0.7).jacobian(0.0, np.zeros(3))
         np.testing.assert_allclose(J[0], [p.C, 2.0, 0.0], atol=1e-15)
 
     def test_matches_finite_differences(self):
@@ -143,8 +141,9 @@ class TestReducedJacobian:
             z = RNG.uniform(-5.0, 5.0, 3)
             K = RNG.uniform(-3.0, 3.0)
             p = Params(*RNG.uniform(-3.0, 3.0, 4))
-            J = reduced_jacobian(z, K, p)
-            Jfd = fd_jacobian(lambda v: reduced_vector_field(v, K, p), z)
+            system = reduced_system(p, K)
+            Jfd = fd_jacobian(lambda v: system.field(0.0, v), z)
+            J = system.jacobian(0.0, z)
             np.testing.assert_allclose(J, Jfd, atol=1e-5)
 
 
@@ -269,7 +268,7 @@ class TestLift:
             K = RNG.uniform(-3.0, 3.0)
             p = Params(*RNG.uniform(-3.0, 3.0, 4))
             f5 = full_vector_field(lift(z, K), p)
-            f3 = reduced_vector_field(z, K, p)
+            f3 = reduced_system(p, K).field(0.0, z)
             scale = 1.0 + np.abs(f5).max()
             np.testing.assert_allclose(f5[:3], f3, atol=1e-13 * scale, rtol=1e-13)
             np.testing.assert_allclose(f5[3], K * f5[0], atol=1e-13 * scale)
@@ -336,7 +335,8 @@ class TestRotationSymmetry:
             p, K, z = Params(*rng.uniform(-3.0, 3.0, 4)), rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0, 3)
             s = np.sqrt(1.0 + K * K)
             S = np.array([s, s, 1.0])
-            worst = max(worst, _gap(S * reduced_vector_field(z, K, p), reduced_vector_field(S * z, 0.0, p)))
+            g_k, g_0 = reduced_system(p, K).field(0.0, z), reduced_system(p, 0.0).field(0.0, S * z)
+            worst = max(worst, _gap(S * g_k, g_0))
         assert worst <= self.BOUND, worst
 
 
