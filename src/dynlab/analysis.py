@@ -77,6 +77,7 @@ class LyapunovReport:
     convergence_trace: np.ndarray  # running estimates, one row per renorm
     trace_times: np.ndarray
     diverged: bool = False
+    error: IntegrationError | None = None  # what ended a diverged run
 
 
 @dataclass
@@ -163,20 +164,19 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
     """(report, traj, terminal) of a run's outcome.
 
     The outcome is the (bundle, log, traj) of a completed tangent run or the
-    IntegrationError that ended the transient or the tangent run; an error
-    of the tangent run carries the log and samples so far, one of the
-    transient an empty log, which gives NaN exponents as no log does.
+    IntegrationError that ended the transient or the tangent run, which
+    carries the log and samples so far: an error of the transient an empty
+    log, which gives NaN exponents.
     """
     if isinstance(outcome, IntegrationError):
-        diverged, terminal = True, None
-        log = getattr(outcome, "partial_log", None)
-        traj = getattr(outcome, "partial_traj", None)
+        error, terminal = outcome, None
+        log, traj = outcome.partial_log, outcome.partial_traj
     else:
-        diverged = False
+        error = None
         bundle, log, traj = outcome
         terminal = bundle.base
 
-    if log is None or log.times.size == 0:
+    if log.times.size == 0:
         exponents = np.full(d, math.nan)
         trace = np.empty((0, d))
         trace_times = np.empty(0)
@@ -193,7 +193,8 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
         renorm_interval=renorm_interval,
         convergence_trace=trace,
         trace_times=trace_times,
-        diverged=diverged,
+        diverged=error is not None,
+        error=error,
     )
     return report, traj, terminal
 

@@ -21,18 +21,23 @@ integrator section must make an IntegratorConfig; the samples of a run
 over [0, times.t_total], those of verify's flow checks over
 [0, verify.horizon] and verify's random states must fit in memory; the start
 must be finite.  So `verify` refuses times.out_stride = 0, which it does not
-read.  Exit 3 is decided next, without making anything: the nearest existing
-ancestor of the output directory must be a directory this process may write.
-A command then checks only what is its own: lyapunov's t_total >
-t_transient, scan's flags, its window and a reduced start for a K-scan,
-E != 0 for equilibrium, and a finite lift of a reduced start for reduce and
-a C..F scan.  So a run that its command refuses exits 3, not 2, when its
-output directory cannot be written.
+read.  The start is resolved once, for every command, as the full 5-D y0
+and the K of a start given on a K-plane (a reduced start, lifted here), or
+None; a start whose lift is not finite is refused with the others.  Exit 3
+is decided next, without making anything: the nearest existing ancestor of
+the output directory must be a directory this process may write.  A command
+then checks only what is its own: lyapunov's t_total > t_transient, scan's
+flags, its window and a reduced start for a K-scan, and E != 0 for
+equilibrium.  So a run that its command refuses exits 3, not 2, when its
+output directory cannot be written.  simulate and lyapunov run the reduced
+system from the projection of y0 when K is given, a K-scan scans from that
+projection, and the other commands use y0 as it is.
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration failure: blow-up, step budget spent or
 step below h_min, verify's flow runs included (simulate keeps its partial
-trajectory with a .partial suffix, lyapunov its report marked diverged and
+trajectory with a .partial suffix, lyapunov its report marked diverged,
+with the error, its message and t as simulate's run.json gives them, and
 the trace of the intervals that completed); 5 initial state not on a limit
 set, or its two ratios disagree (reduce).
 """
@@ -58,8 +63,8 @@ from .errors import (
     RatioInconsistencyError,
 )
 from .integrator import IntegratorConfig, check_schedule, integrate
-from .invariants import FLOW_STRIDE, verification_suite
-from .model import Params, equilibrium, full_system, lift, reduced_system
+from .invariants import check_suite, verification_suite
+from .model import Params, equilibrium, full_system, lift, project, reduced_system
 from .reduction import compare_full_vs_reduced, k_drift
 
 EXIT_OK = 0
@@ -200,20 +205,14 @@ def normalize_config(raw: dict) -> dict:
         IntegratorConfig(**cfg["integrator"])
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from exc
+    # The sample and renorm times of a run over the whole window must fit in
+    # memory, and so must verify's flow samples and random states.
     times = cfg["times"]
-    try:  # the sample and renorm times of a run over the whole window must fit in memory
-        check_schedule(0.0, times["t_total"], times["out_stride"], cfg["lyapunov"]["renorm_interval"])
+    check_schedule(0.0, times["t_total"], times["out_stride"], cfg["lyapunov"]["renorm_interval"])
+    try:
+        check_suite(cfg["verify"]["samples"], cfg["verify"]["horizon"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:  # and so must the samples of verify's flow checks
-        check_schedule(0.0, cfg["verify"]["horizon"], FLOW_STRIDE)
-    except ValueError as exc:
-        raise ConfigError(f"verify.horizon: {exc}") from exc
-    samples = cfg["verify"]["samples"]
-    try:  # and so must its random states (an empty array of their shape is asked for, and dropped)
-        np.empty((samples, 5))
-    except (MemoryError, OverflowError, ValueError):
-        raise ConfigError(f"verify.samples = {samples!r} gives more states than an array can hold") from None
+        raise ConfigError(f"verify.{exc}") from exc
 
     seed = raw.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0 or seed >= 2**64:
@@ -244,30 +243,28 @@ def apply_overrides(raw: dict, sets: list[str]) -> dict:
 
 
 def resolve_initial_state(cfg: dict, p: Params):
-    """Return (y0 array, kind) with kind 'full' or ('reduced', K); refuses a
-    start past the float range."""
+    """Return (y0, K): the full 5-D start and, for a start given on a
+    K-plane (a reduced one), its K, else None.  A reduced start is lifted
+    here; a start past the float range is refused."""
     state = cfg["initial_state"]
-    if "full" in state:
-        return np.array(state["full"], dtype=float), "full"
-    if "reduced" in state:
-        return np.array(state["reduced"], dtype=float), ("reduced", state["K"])
-    if "equilibrium_offset" in state:  # equilibrium(p) refuses E = 0
-        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+    K = state.get("K")
+    with np.errstate(over="ignore"):  # a start past the float range is refused below
+        if "full" in state:
+            y0 = np.array(state["full"], dtype=float)
+        elif "reduced" in state:
+            y0 = lift(state["reduced"], K)
+        elif "equilibrium_offset" in state:  # equilibrium(p) refuses E = 0
             y0 = equilibrium(p) + np.array(state["equilibrium_offset"], dtype=float)
-        if not np.all(np.isfinite(y0)):
-            raise ConfigError(f"initial_state gives a start that is not finite: {y0.tolist()!r}")
-        return y0, "full"
-    box = state["random"]["box"]
-    rng = np.random.Generator(np.random.Philox(cfg["seed"]))
-    if isinstance(box[0], list):
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
-    else:
-        lo, hi = box[0], box[1]
-    try:
-        return rng.uniform(lo, hi, 5), "full"
-    except OverflowError:  # numpy's refusal of a box wider than the float range
-        raise ConfigError(f"initial_state.random.box {box!r} is wider than the float range") from None
+        else:
+            box = state["random"]["box"]
+            lo, hi = np.array(box).T
+            try:
+                y0 = np.random.Generator(np.random.Philox(cfg["seed"])).uniform(lo, hi, 5)
+            except OverflowError:  # numpy's refusal of a box wider than the float range
+                raise ConfigError(f"initial_state.random.box {box!r} is wider than the float range") from None
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError(f"initial_state gives a start that is not finite: {y0.tolist()!r}")
+    return y0, K
 
 
 # --- output helpers --------------------------------------------------------
@@ -327,45 +324,39 @@ def _trajectory_file(cfg: dict, traj) -> tuple[str, str]:
     return "trajectory.json", _json_text({"columns": header, "rows": rows})
 
 
-def _full_start(y0, kind):
-    """The start of a full-system run: a reduced start lifted to its K-plane."""
-    if kind == "full":
-        return y0
-    with np.errstate(over="ignore"):  # a product past the float range is refused below
-        y0 = lift(y0, kind[1])
-    if not np.all(np.isfinite(y0)):
-        raise ConfigError(f"initial_state lifts to a start that is not finite: {y0.tolist()!r}")
-    return y0
+def _failure(exc: IntegrationError) -> dict:
+    """The keys a failed run's report gives its failure."""
+    return {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
+
+
+def _run_system(p: Params, y0, K):
+    """(system, start) of a simulate or lyapunov run: the full system from y0,
+    or for a start given on a K-plane the reduced one from its projection."""
+    return (full_system(p), y0) if K is None else (reduced_system(p, K), project(y0, K))
 
 
 # --- commands ---------------------------------------------------------------
 
 # Each command takes the checked config, the Params, IntegratorConfig and
-# initial state (y0, kind) built from it, and the parsed arguments.  It
+# start (y0, K) built from it, and the parsed arguments.  It
 # returns its exit code and its output files as {file name: text}, and
 # writes nothing: `main` does.
 
 
-def cmd_simulate(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
-    system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
+def cmd_simulate(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
+    system, start = _run_system(p, y0, K)
     try:
-        traj = integrate(system.field, y0, 0.0, cfg["times"]["t_total"], cfg["times"]["out_stride"], icfg)
-    except IntegrationError as exc:
-        partial = getattr(exc, "partial_traj", None)
-        diag = {"error": type(exc).__name__, "message": str(exc), "t": exc.t}
-        files = {}
-        if partial is not None:
-            name, text = _trajectory_file(cfg, partial)
-            diag["partial_file"] = name + ".partial"
-            files[diag["partial_file"]] = text
-        files["run.json"] = _json_text({**cfg, "stats": diag})
+        traj = integrate(system.field, start, 0.0, cfg["times"]["t_total"], cfg["times"]["out_stride"], icfg)
+    except IntegrationError as exc:  # it carries the samples so far
+        name, text = _trajectory_file(cfg, exc.partial_traj)
+        diag = {**_failure(exc), "partial_file": name + ".partial"}
         print(f"dynlab simulate: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP, files
+        return EXIT_BLOWUP, {diag["partial_file"]: text, "run.json": _json_text({**cfg, "stats": diag})}
     name, text = _trajectory_file(cfg, traj)
     return EXIT_OK, {name: text, "run.json": _json_text({**cfg, "stats": _stats(traj)})}
 
 
-def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
     reports = verification_suite(p, seed=cfg["seed"], cfg=icfg, **cfg["verify"])  # samples, tolerance, horizon
     payload = {
         name: {"max_residual": rep.max_rel_residual, "pass": rep.passed}
@@ -375,8 +366,7 @@ def cmd_verify(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     return code, {"verify_report.json": _json_text(payload)}
 
 
-def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
-    y0 = _full_start(y0, kind)
+def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
     t_total, stride = cfg["times"]["t_total"], cfg["times"]["out_stride"]
     zero_tol = cfg["reduce"]["zero_tol"]
     comparison = compare_full_vs_reduced(y0, p, t_total, stride, icfg, zero_tol=zero_tol)
@@ -392,13 +382,13 @@ def cmd_reduce(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     return EXIT_OK, {"k_drift.csv": _csv_text(["t", "K"], drift_rows), "reduce_report.json": _json_text(report)}
 
 
-def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
-    system = full_system(p) if kind == "full" else reduced_system(p, kind[1])
+def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
+    system, start = _run_system(p, y0, K)
     t_transient, t_total = cfg["times"]["t_transient"], cfg["times"]["t_total"]
     renorm_interval = cfg["lyapunov"]["renorm_interval"]
     if not t_total > t_transient:
         raise ConfigError("lyapunov requires times.t_total > times.t_transient")
-    report = lyapunov_spectrum(system, y0, t_transient, t_total, renorm_interval, icfg)
+    report = lyapunov_spectrum(system, start, t_transient, t_total, renorm_interval, icfg)
     d = system.dim
     header = ["t"] + [f"lambda{i + 1}" for i in range(d)]
     rows = ([t] + row for t, row in zip(report.trace_times.tolist(), report.convergence_trace.tolist()))
@@ -410,7 +400,9 @@ def cmd_lyapunov(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
         "trace_file": "lyapunov_trace.csv",
     }
     if report.diverged:  # the report keeps the intervals that completed
-        print(f"dynlab lyapunov: run failed after {len(report.trace_times)} renorm intervals", file=sys.stderr)
+        summary.update(_failure(report.error))
+        n = len(report.trace_times)
+        print(f"dynlab lyapunov: run failed after {n} renorm intervals: {report.error}", file=sys.stderr)
     code = EXIT_BLOWUP if report.diverged else EXIT_OK
     return code, {"lyapunov_trace.csv": _csv_text(header, rows), "lyapunov_report.json": _json_text(summary)}
 
@@ -425,28 +417,22 @@ plot "scan_extrema.csv" every ::1 using 1:2 with dots lc rgb "black"
 """
 
 
-def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
     param = args.param
     if param == "K":
-        if kind == "full":
+        if K is None:
             raise ConfigError("a K-scan (--param K) needs a reduced initial_state")
-        dim = 3
-    else:
-        y0 = _full_start(y0, kind)
-        dim = 5
+        y0 = project(y0, K)
     try:  # numpy refuses a negative count and one that no array can hold
         np.empty(args.steps)
     except (MemoryError, OverflowError, ValueError):
         raise ConfigError(f"--steps must be >= 0 and fit in an array, got {args.steps}") from None
     settings = ScanSettings(
         y0=tuple(y0.tolist()),
-        t_transient=cfg["times"]["t_transient"],
-        t_total=cfg["times"]["t_total"],
+        **cfg["times"],  # t_transient, t_total, out_stride
+        **cfg["scan"],  # extrema_cap, eps_zero
         renorm_interval=cfg["lyapunov"]["renorm_interval"],
-        out_stride=cfg["times"]["out_stride"],
         integrator=icfg,
-        extrema_cap=cfg["scan"]["extrema_cap"],
-        eps_zero=cfg["scan"]["eps_zero"],
         workers=args.workers,
     )
     with np.errstate(all="ignore"):  # a range past the float range gives inf and NaN, refused below
@@ -455,7 +441,7 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
         raise ConfigError("--min and --max must give finite scan values")
     records = parameter_scan(p, param, values, args.policy, settings)
 
-    header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(dim)]
+    header = ["param", "classification"] + [f"lambda{i + 1}" for i in range(len(y0))]
     rec_rows = []
     ext_rows = []
     for rec in records:
@@ -471,7 +457,7 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
     return EXIT_OK, files
 
 
-def cmd_equilibrium(cfg: dict, p: Params, icfg: IntegratorConfig, y0, kind, args):
+def cmd_equilibrium(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
     text = _json_text(
         {
             "equilibrium": [float(v) for v in equilibrium(p)],  # refuses E = 0
@@ -535,9 +521,9 @@ def main(argv=None) -> int:
     try:
         cfg = normalize_config(apply_overrides(raw, args.sets))
         p = Params(**cfg["params"])
-        y0, kind = resolve_initial_state(cfg, p)
+        y0, K = resolve_initial_state(cfg, p)
         directory = _out_dir(cfg, args.out)
-        code, files = _COMMANDS[args.command](cfg, p, IntegratorConfig(**cfg["integrator"]), y0, kind, args)
+        code, files = _COMMANDS[args.command](cfg, p, IntegratorConfig(**cfg["integrator"]), y0, K, args)
         os.makedirs(directory, exist_ok=True)
         for name, text in files.items():
             _write_text(os.path.join(directory, name), text)

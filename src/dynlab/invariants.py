@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .integrator import IntegratorConfig, integrate
+from .integrator import IntegratorConfig, check_schedule, integrate
 from .model import Params, _as_state, _full_rhs, full_system, lift
 
 __all__ = [
@@ -35,11 +35,11 @@ __all__ = [
     "norm_derivative_forms",
     "check_trajectory",
     "verification_suite",
-    "FLOW_STRIDE",
+    "check_suite",
 ]
 
 # The sample stride of `verification_suite`'s flow checks over [0, horizon].
-FLOW_STRIDE = 0.1
+_FLOW_STRIDE = 0.1
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,23 @@ def _report(abs_resid: np.ndarray, scale: np.ndarray, times: np.ndarray, tol: fl
     )
 
 
+def check_suite(samples: int, horizon: float):
+    """Raise ValueError when `verification_suite`'s flow samples over
+    [0, horizon] or its `samples` random states would not fit in an array
+    (an empty array of their shape is asked for, and dropped), and for a
+    negative `samples`."""
+    try:
+        check_schedule(0.0, horizon, _FLOW_STRIDE)
+    except ValueError as exc:
+        raise ValueError(f"horizon: {exc}") from None
+    if not samples >= 0:
+        raise ValueError(f"samples must be >= 0, got {samples!r}")
+    try:
+        np.empty((samples, 5))
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"samples = {samples!r} gives more states than an array can hold") from None
+
+
 def verification_suite(
     p: Params,
     *,
@@ -156,11 +173,13 @@ def verification_suite(
     Pointwise identities are evaluated on `samples` random states in
     [-10, 10]^5 with random parameters in [-3, 3]^4; the flow-level checks
     integrate the configured system over [0, horizon] from two generic starts
-    and one on a K-plane, sampled every `FLOW_STRIDE`, and raise the
-    IntegrationError of a run that fails.  When `tolerance` is given it
-    replaces every identity's default pass threshold (a zero tolerance
-    therefore fails everything); a negative one raises ValueError.
+    and one on a K-plane, sampled every 0.1, and raise the IntegrationError
+    of a run that fails.  When `tolerance` is given it replaces every
+    identity's default pass threshold (a zero tolerance therefore fails
+    everything); a negative one raises ValueError, and so do sizes that
+    `check_suite` refuses, before any work.
     """
+    check_suite(samples, horizon)
     if tolerance is not None and not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     if cfg is None:
@@ -195,7 +214,7 @@ def verification_suite(
     starts.append(lift(rng.uniform(-1.5, 1.5, 3), rng.uniform(-2.0, 2.0)))
     field = full_system(p).field
     flows = [
-        check_trajectory(integrate(field, y0, 0.0, horizon, FLOW_STRIDE, cfg), p, tol(100.0 * int_tol))
+        check_trajectory(integrate(field, y0, 0.0, horizon, _FLOW_STRIDE, cfg), p, tol(100.0 * int_tol))
         for y0 in starts
     ]
     reports["bilinear_flow_law"] = max((r["bilinear_law"] for r in flows), key=lambda r: r.max_rel_residual)

@@ -21,6 +21,9 @@ into the three-dimensional reduced system
     z2' = C*z2 + [z3 + (1/8)(1+K^2)(z1^2+z2^2)]*z1 + 2*z1
     z3' = D*(1+K^2)*z1*z2 + E*z3 + F
 
+K enters only through q = 1 + K^2: the reduced formulas take q as a
+constant, which `reduced_system` computes once from K.
+
 This module owns that embedding: `lift` maps reduced states into the full
 space and `project` maps full states on a K-plane back, both over the last
 axis of a single state or a block of states.  No other module spells out
@@ -198,10 +201,9 @@ def _full_jac(y, C, D, E) -> list:
     ]
 
 
-def _reduced_rhs(z, K, C, D, E, F) -> list:
-    """Reduced field on the K-plane at z = (z1, z2, z3)."""
+def _reduced_rhs(z, q, C, D, E, F) -> list:
+    """Reduced field on the K-plane at z = (z1, z2, z3), with q = 1 + K^2."""
     z1, z2, z3 = z
-    q = 1.0 + K * K
     Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
     return [
         C * z1 - Gk * z2 + 2.0 * z2,
@@ -210,10 +212,9 @@ def _reduced_rhs(z, K, C, D, E, F) -> list:
     ]
 
 
-def _reduced_jac(z, K, C, D, E) -> list:
-    """Row-major entries of the 3x3 Jacobian of the reduced field."""
+def _reduced_jac(z, q, C, D, E) -> list:
+    """Row-major entries of the 3x3 Jacobian of the reduced field, with q = 1 + K^2."""
     z1, z2, z3 = z
-    q = 1.0 + K * K
     Gk = z3 + 0.125 * q * (z1 * z1 + z2 * z2)
     kq = 0.25 * q
     return [
@@ -343,9 +344,10 @@ def full_system(p: Params) -> DynamicalSystem:
 
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
-    """The reduced 3-D system on the K-plane, packaged for the integrator."""
+    """The reduced 3-D system on the K-plane, packaged for the integrator; its
+    formulas read K only through q = 1 + K^2."""
     if not math.isfinite(K):
         raise InvalidStateError(f"K is not finite: {K!r}")
-    K = float(K)  # a float, as Params stores its constants
+    q = 1.0 + float(K) * float(K)  # a float, as Params stores its constants
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system((_reduced_rhs, (K, C, D, E, F)), (_reduced_jac, (K, C, D, E)), 3)
+    return _kernel_system((_reduced_rhs, (q, C, D, E, F)), (_reduced_jac, (q, C, D, E)), 3)

@@ -43,11 +43,10 @@ class ReductionComparison:
 
 @dataclass
 class KDriftSeries:
-    """Per-sample K estimates; undefined samples are NaN with defined=False."""
+    """Per-sample K estimates; undefined samples are NaN."""
 
     times: np.ndarray
     estimates: np.ndarray
-    defined: np.ndarray
 
 
 def default_zero_tol(y0) -> float:
@@ -131,8 +130,8 @@ def compare_full_vs_reduced(
 def k_drift(traj: Trajectory, zero_tol: float | None = None) -> KDriftSeries:
     """Least-squares K estimate (y1*y4 + y2*y5)/(y1^2 + y2^2) per sample.
 
-    Samples whose denominator does not exceed zero_tol are flagged undefined
-    (NaN estimate) rather than raising.
+    Samples whose denominator does not exceed zero_tol are undefined: their
+    estimate is NaN rather than an error.
     """
     if traj.dimension != 5:
         raise DimensionMismatchError(
@@ -143,7 +142,6 @@ def k_drift(traj: Trajectory, zero_tol: float | None = None) -> KDriftSeries:
     st = traj.states
     den = st[:, 0] ** 2 + st[:, 1] ** 2
     num = st[:, 0] * st[:, 3] + st[:, 1] * st[:, 4]
-    defined = den > zero_tol
     estimates = np.full(den.shape, math.nan)
-    np.divide(num, den, out=estimates, where=defined)
-    return KDriftSeries(times=traj.times.copy(), estimates=estimates, defined=defined)
+    np.divide(num, den, out=estimates, where=den > zero_tol)
+    return KDriftSeries(times=traj.times.copy(), estimates=estimates)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dynlab.cli import main
+from dynlab.model import lift
 
 BASE = {
     "params": {"C": -1.0, "D": -1.0, "E": -0.5, "F": 0.0},
@@ -114,7 +115,8 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
     def test_random_box_of_five_pairs(self, tmp_path):
-        """Each component is drawn inside its own [lo, hi], and the seed fixes the start."""
+        """Each component is drawn inside its own [lo, hi], and the seed fixes
+        the start; five equal pairs draw what their one [lo, hi] does."""
         box = [[-2.0, -1.0], [0.0, 0.5], [1.0, 1.25], [-0.125, 0.0], [3.0, 7.0]]
         cfg = write_config(tmp_path, {"initial_state": {"random": {"box": box}}, "times": {"t_total": 0.5}})
         starts = []
@@ -125,6 +127,14 @@ class TestSimulate:
         for start in starts:
             assert all(lo <= y <= hi for (lo, hi), y in zip(box, start))
         assert starts[0] == starts[1] != starts[2]
+
+        blobs = []
+        for sub, b in (("one", [-1.0, 1.0]), ("five", [[-1.0, 1.0]] * 5)):
+            out = tmp_path / sub
+            box_arg = json.dumps({"random": {"box": b}})
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--set", f"initial_state={box_arg}"]) == 0
+            blobs.append((out / "trajectory.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -256,6 +266,13 @@ class TestReduce:
         report = json.loads((out / "reduce_report.json").read_text())
         assert report["K"]["value"] == -1.0
 
+        # The same start given in full: the same files, byte for byte.
+        full = out.parent / "full"
+        start = json.dumps({"full": lift([0.5, 0.2, 0.0], -1.0).tolist()})
+        assert main(["reduce", "--config", cfg, "--out", str(full), "--set", f"initial_state={start}"]) == 0
+        for name in ("reduce_report.json", "k_drift.csv"):
+            assert (full / name).read_bytes() == (out / name).read_bytes()
+
 
 class TestLyapunov:
     def test_full_and_reduced_reports(self, tmp_path):
@@ -293,16 +310,20 @@ class TestLyapunov:
 
     def test_failed_run_exits_4_with_its_report(self, tmp_path, capsys):
         """The step budget runs out after the first renorm interval: the run
-        exits 4 and keeps a diverged report and the trace of what completed."""
+        exits 4 and keeps a diverged report that names the cause, as
+        simulate's run.json does, and the trace of what completed."""
         cfg = write_config(tmp_path, {"times": {"t_transient": 0.0, "t_total": 20.0, "out_stride": 0.25}})
         out = tmp_path / "run"
         assert main(["lyapunov", "--config", cfg, "--out", str(out), "--set", "integrator.max_steps=60"]) == 4
         report = json.loads((out / "lyapunov_report.json").read_text())
         assert report["diverged"]
+        assert report["error"] == "StepBudgetError"
+        assert report["message"] == f"max_steps = 60 exhausted at t = {report['t']!r}"
         _, rows = read_csv(out / "lyapunov_trace.csv")
         assert len(rows) >= 1
+        assert float(rows[-1][0]) <= report["t"]
         err = capsys.readouterr().err
-        assert err == f"dynlab lyapunov: run failed after {len(rows)} renorm intervals\n"
+        assert err == f"dynlab lyapunov: run failed after {len(rows)} renorm intervals: {report['message']}\n"
 
 
 class TestScan:
@@ -428,6 +449,11 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         pytest.param(["verify"] + BOX_OVERFLOW, "initial_state", id="verify-box=overflow"),
         pytest.param(["reduce"] + LIFT_OVERFLOW, "initial_state", id="reduce-lift=inf"),
         pytest.param(scan_argv() + LIFT_OVERFLOW, "initial_state", id="scan-lift=inf"),
+        pytest.param(["simulate"] + LIFT_OVERFLOW, "initial_state", id="simulate-lift=inf"),
+        pytest.param(["lyapunov"] + LIFT_OVERFLOW, "initial_state", id="lyapunov-lift=inf"),
+        pytest.param(["verify"] + LIFT_OVERFLOW, "initial_state", id="verify-lift=inf"),
+        pytest.param(["equilibrium"] + LIFT_OVERFLOW, "initial_state", id="equilibrium-lift=inf"),
+        pytest.param(scan_argv("K") + LIFT_OVERFLOW, "initial_state", id="K-scan-lift=inf"),
         pytest.param(scan_argv(steps=str(10**15)), "--steps", id="scan-steps=1e15"),
         pytest.param(["verify", "--set", f"verify.samples={10**15}"], "verify.samples", id="verify-samples=1e15"),
         pytest.param(["reduce", "--set", "times.out_stride=0"], "times.out_stride", id="reduce-stride=0"),

@@ -228,3 +228,24 @@ class TestVerificationSuite:
         with pytest.raises(StepBudgetError, match="max_steps"):
             verification_suite(p, seed=3, samples=100, horizon=2.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "sizes, name",
+        [
+            ({"samples": 10**15}, "samples = "),
+            ({"samples": -1}, "samples must be >= 0"),
+            ({"horizon": 1e15}, "horizon: out_stride = 0.1"),
+        ],
+        ids=["samples=1e15", "samples=-1", "horizon=1e15"],
+    )
+    def test_sizes_no_array_can_hold_refused_before_any_work(self, monkeypatch, sizes, name):
+        """Random states and flow samples that no array can hold, and a
+        negative sample count, are refused before the pointwise pass runs."""
+
+        def no_work(*args):
+            raise AssertionError("the suite ran before its sizes were checked")
+
+        monkeypatch.setattr("dynlab.invariants._full_rhs", no_work)
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.2)
+        with pytest.raises(ValueError, match=name):
+            verification_suite(p, **{"samples": 10, "horizon": 1.0, **sizes})
