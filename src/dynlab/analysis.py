@@ -86,6 +86,7 @@ class ScanRecord:
     classification: str
     exponents: np.ndarray
     extrema_sample: np.ndarray
+    error: IntegrationError | None = None  # what ended a failed run
 
 
 @dataclass(frozen=True)
@@ -300,6 +301,7 @@ def _scan_record(value: float, report, traj, settings: ScanSettings) -> ScanReco
         classification=label,
         exponents=report.exponents,
         extrema_sample=extrema,
+        error=report.error,
     )
 
 

@@ -446,6 +446,9 @@ def cmd_scan(cfg: dict, p: Params, icfg: IntegratorConfig, y0, K, args):
     ext_rows = []
     for rec in records:
         rec_rows.append([rec.param_value, rec.classification] + [float(v) for v in rec.exponents])
+        if rec.error is not None:  # its message names the t the run stopped at
+            cause = f"{type(rec.error).__name__}: {rec.error}"
+            print(f"dynlab scan: {param} = {rec.param_value!r} diverged: {cause}", file=sys.stderr)
         for ex in rec.extrema_sample:
             ext_rows.append([rec.param_value, float(ex)])
     files = {

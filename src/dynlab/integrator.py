@@ -34,13 +34,13 @@ is called at each, same bits.  The tangent kernel of a field and a Jacobian
 that both carry a formula carries one too (`_tangent_formula`), so a tangent
 run writes f, J and J*Q into its loop.
 
-Every run follows one schedule (`_Events`, a numpy table of stops): it steps
-exactly onto each sample time and, on a tangent run, each renorm time, where
-it re-orthonormalizes the frame; a plain run has no renorms.  No dense
-interpolation is ever used, so sampled states carry only the integration
-error itself.  `integrate` and `integrate_with_tangents` share one loop over
-the schedule, which builds every run's (RenormLog, Trajectory), finished or
-failed.
+Every run follows one schedule (`_Events`: stop times, each flagged sampled,
+renormed or both) through one loop (`_run_events`): it steps exactly onto
+each stop, appends its state at a sampled one and, on a tangent run,
+re-orthonormalizes the frame and appends the log stretches at a renormed
+one.  No dense interpolation is ever used, so sampled states carry only the
+integration error itself.  A run's (RenormLog, Trajectory), finished or
+failed, is the lists it appended.
 
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
 or many on one schedule, and it chooses the route.  At least `_MIN_BATCH`
@@ -515,11 +515,8 @@ class _Events:
 
     `times` are the sample and renorm times after t0, sorted, a shared time
     once; out_stride None means no samples, renorm_interval None no frame.
-    Stop k samples into row `sample_slot[k]` of a buffer whose row 0 is the
-    start and row `spare` takes stops without a sample, and logs into row
-    `renorm_slot[k]` (-1: no renorm).  Past stops 0..k-1 a run holds
-    `samples_before[k]` samples, the start included, and `renorms_before[k]`
-    renorms.
+    At stop k a run appends its state to its samples if `sampled[k]` and the
+    log of its frame's stretches to its log if `renormed[k]`.
     """
 
     def __init__(self, t0: float, t1: float, out_stride=None, renorm_interval=None):
@@ -531,62 +528,53 @@ class _Events:
         )
         self.intervals = np.diff(self.renorm_times, prepend=t0)
         self.times = np.union1d(samples, self.renorm_times)
-        sampled = np.isin(self.times, samples, assume_unique=True)
-        renormed = np.isin(self.times, self.renorm_times, assume_unique=True)
-        self.spare = samples.size + 1
-        self.sample_slot = np.where(sampled, np.cumsum(sampled), self.spare)
-        self.renorm_slot = np.where(renormed, np.cumsum(renormed) - 1, -1)
-        self.samples_before = 1 + np.cumsum(np.append(0, sampled))
-        self.renorms_before = np.cumsum(np.append(0, renormed))
+        self.sampled = np.isin(self.times, samples, assume_unique=True)
+        self.renormed = np.isin(self.times, self.renorm_times, assume_unique=True)
 
-    def results(self, k: int, samples, log_rows, taken, rejected, at_stop=False):
-        """(RenormLog, Trajectory-or-None) of a run that has passed stops
-        0..k-1, from its sample and log buffers; with at_stop it has also
-        sampled stop k, whose frame then degenerated."""
-        n = self.renorms_before[k]
-        log = RenormLog(self.renorm_times[:n], self.intervals[:n], log_rows[:n].copy())
+    def results(self, samples, log_rows, taken, rejected):
+        """(RenormLog, Trajectory-or-None) of a run, finished or partial, from
+        the d-vector samples it appended, the start first, and its log rows."""
+        d, n = len(samples[0]), len(log_rows)
+        times, intervals = self.renorm_times[:n].copy(), self.intervals[:n].copy()
+        log = RenormLog(times, intervals, np.reshape(log_rows, (n, d)))
         if self.sample_times is None:
             return log, None
-        d, n = samples.shape[1], self.samples_before[k + at_stop]
-        traj = Trajectory(self.sample_times[:n], samples[:n].copy(), d, int(taken), int(rejected))
+        n = len(samples)
+        traj = Trajectory(self.sample_times[:n].copy(), np.array(samples), d, int(taken), int(rejected))
         return log, traj
 
 
 def _run_events(stepper, events: _Events, d: int):
-    """Step onto each stop: sample y[:d] and, at a renorm stop, re-orthonormalize
-    the d x d frame that follows it in y.  Returns (RenormLog,
-    Trajectory-or-None), or raises the IntegrationError with those of the
-    stops passed as ``partial_log`` / ``partial_traj``; a degenerate frame
-    keeps the sample at its stop but not the renorm."""
-    samples = np.empty((events.spare + 1, d))
-    samples[0] = stepper.y[:d]
-    log_rows = np.empty((events.renorm_times.size, d))
-    at_stop = False
-    stops = zip(events.times.tolist(), events.sample_slot.tolist(), events.renorm_slot.tolist())
+    """Step onto each stop: append y[:d] to the samples at a sampled one and,
+    at a renormed one, re-orthonormalize the d x d frame that follows it in y
+    and append the log of its stretches.  Returns (RenormLog, Trajectory-or-None), or raises the
+    IntegrationError with those of the stops passed as ``partial_log`` /
+    ``partial_traj``; a degenerate frame keeps the sample at its stop but not
+    the renorm."""
+    samples, log_rows = [stepper.y[:d]], []
+    stops = zip(events.times.tolist(), events.sampled.tolist(), events.renormed.tolist())
     try:
-        for k, (te, sample_slot, renorm_slot) in enumerate(stops):
+        for te, sampled, renormed in stops:
             stepper.step_to(te)
             y = stepper.y
-            samples[sample_slot] = y[:d]
-            if renorm_slot < 0:
+            if sampled:
+                samples.append(y[:d])
+            if not renormed:
                 continue
             q, stretches = _orthonormalize(np.array(y[d:]).reshape(d, d))
             if np.any(stretches == 0.0):
-                at_stop = True
                 raise BlowUpError(
                     f"tangent frame degenerated at t = {te!r}", t=te, last_state=np.array(y[:d])
                 )
-            log_rows[renorm_slot] = np.log(stretches)
+            log_rows.append(np.log(stretches))
             stepper.y = y[:d] + q.ravel().tolist()
             stepper.refresh_derivative()
     except IntegrationError as exc:
         exc.partial_log, exc.partial_traj = events.results(
-            k, samples, log_rows, stepper.steps_taken, stepper.steps_rejected, at_stop
+            samples, log_rows, stepper.steps_taken, stepper.steps_rejected
         )
         raise
-    return events.results(
-        events.times.size, samples, log_rows, stepper.steps_taken, stepper.steps_rejected
-    )
+    return events.results(samples, log_rows, stepper.steps_taken, stepper.steps_rejected)
 
 
 def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: IntegratorConfig) -> Trajectory:
@@ -767,9 +755,8 @@ class _Dp54Block:
         self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
 
         self.Y = np.array([np.concatenate((b.base, b.frame.ravel())) for b in bundles0])
-        self.samples = np.empty((n, events.spare + 1, d))
-        self.samples[:, 0] = self.Y[:, :d]
-        self.log_rows = np.empty((n, events.renorm_times.size, d))
+        self.samples = [[y] for y in self.Y[:, :d].copy()]  # per member, as `_run_events` appends
+        self.log_rows = [[] for _ in range(n)]
 
         self.t = np.full(n, float(t0))
         self.K1, self.Jc = np.empty_like(self.Y), np.empty((d, d, n))
@@ -783,15 +770,15 @@ class _Dp54Block:
         self.active = np.ones(n, dtype=bool)
         self.results = [None] * n
 
-    def _renorm(self, idx: np.ndarray, e: np.ndarray):
-        """Re-orthonormalize the frames of members idx at their events e."""
+    def _renorm(self, idx: np.ndarray):
+        """Re-orthonormalize the frames of members idx."""
         d, Y = self.d, self.Y
         q, stretches = _orthonormalize(Y[idx, d:].reshape(idx.size, d, d))
         ok = np.all(stretches != 0.0, axis=1)
         self.active[idx[~ok]] = False
-        idx, e, q, stretches = idx[ok], e[ok], q[ok], stretches[ok]
-        for i, slot, row in zip(idx.tolist(), self.events.renorm_slot[e].tolist(), stretches):
-            self.log_rows[i, slot] = np.log(row)
+        idx, q, stretches = idx[ok], q[ok], stretches[ok]
+        for i, row in zip(idx.tolist(), stretches):
+            self.log_rows[i].append(np.log(row))
         Y[idx, d:] = q.reshape(idx.size, -1)
         # The base state is unchanged, so its Jacobian is the cached one.
         self.K1[idx, d:] = _jq_columns(self.Jc[:, :, idx], Y[idx, d:])
@@ -801,10 +788,11 @@ class _Dp54Block:
         while idx.size:
             e = self.ev[idx]
             self.t[idx] = self.ev_t[e]
-            self.samples[idx, self.events.sample_slot[e]] = self.Y[idx, : self.d]
-            renorm = self.events.renorm_slot[e] >= 0
+            for i in idx[self.events.sampled[e]].tolist():
+                self.samples[i].append(self.Y[i, : self.d].copy())
+            renorm = self.events.renormed[e]
             if renorm.any():
-                self._renorm(idx[renorm], e[renorm])
+                self._renorm(idx[renorm])
             self.ev[idx] = e + 1
             for i in idx[e + 1 == self.n_ev].tolist():
                 if self.active[i]:
@@ -813,7 +801,7 @@ class _Dp54Block:
                         base=self.Y[i, :d].copy(), frame=self.Y[i, d:].reshape(d, d).copy()
                     )
                     self.results[i] = (bundle,) + self.events.results(
-                        self.n_ev, self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i]
+                        self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i]
                     )
                     self.active[i] = False
             idx = idx[self.chained[e] & self.active[idx]]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,32 @@ class TestScan:
         assert (out / "scan.gp").exists()
         assert no_partials(out)
 
+    def test_failed_points_named_on_stderr(self, tmp_path, capsys):
+        """Criterion 9's points with a step budget of 100: each run fails, is
+        a `diverged` row with its partial-log exponents, and is named on
+        stderr with its cause, from the worker processes too; exit 0."""
+        cfg = self.scan_config(
+            tmp_path,
+            params={"C": -1.0, "D": -1.0, "E": -0.5, "F": 0.0},
+            initial_state={"full": [0.73, -0.4, 0.2, 0.33, 0.11]},
+            times={"t_transient": 1.0, "t_total": 20.0, "out_stride": 0.1},
+            integrator={"abs_tol": 1e-8, "rel_tol": 1e-8, "max_steps": 100},
+        )
+        out = tmp_path / "run"
+        code = main(
+            ["scan", "--config", cfg, "--out", str(out), "--param", "C",
+             "--min", "-1.2", "--max", "-1.0", "--steps", "2", "--workers", "2"]
+        )
+        assert code == 0
+        _, rows = read_csv(out / "scan_records.csv")
+        assert [row[:2] for row in rows] == [["-1.2", "diverged"], ["-1.0", "diverged"]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line, c in zip(lines, ("-1.2", "-1.0")):
+            cause = r"StepBudgetError: max_steps = 100 exhausted at t = \d+\.\d+"
+            assert re.fullmatch(f"dynlab scan: C = {c} diverged: {cause}", line), line
+
     def test_zero_steps_empty_dataset(self, tmp_path):
         cfg = self.scan_config(tmp_path)
         out = tmp_path / "run"
@@ -483,6 +510,29 @@ def scan_argv(param="C", lo="-1.0", hi="1.0", steps="2", workers="1"):
         pytest.param(["simulate", "--set", "params.C.x=1"], "crosses a non-object", id="set-through-number"),
         pytest.param(["equilibrium", "--set", "integrator.h_min=1"], "h_min", id="equilibrium-h_min=1"),
         pytest.param(["equilibrium", "--set", "params.E=0"], "E = 0", id="equilibrium-E=0"),
+        pytest.param(["simulate", "--set", "integrator.method=5"], "method must be a string", id="method=5"),
+        pytest.param(
+            ["simulate", "--set", "integrator.max_steps=1.5"], "max_steps must be an integer", id="max_steps=1.5"
+        ),
+        pytest.param(
+            ["simulate", "--set", 'initial_state={"full": [1, 2, 3]}'], "full must be a list of 5 numbers",
+            id="full-of-3",
+        ),
+        pytest.param(["simulate", "--set", "times=3"], "times must be an object", id="times=3"),
+        pytest.param(["simulate", "--set", "initial_state=3"], "initial_state must be an object", id="start=3"),
+        pytest.param(
+            ["simulate", "--set", 'initial_state={"full": [1, 2, 3, 4, 5], "random": {"box": [-1, 1]}}'],
+            "needs exactly one of", id="full-and-random",
+        ),
+        pytest.param(
+            ["simulate", "--set", 'initial_state={"random": 3}'], "initial_state.random must be an object",
+            id="random=3",
+        ),
+        pytest.param(
+            ["simulate", "--set", 'initial_state={"random": {"box": [1, 2, 3]}}'], "random.box must be",
+            id="box-of-3",
+        ),
+        pytest.param(["simulate", "--set", "seed=-1"], "seed must be an unsigned 64-bit integer", id="seed=-1"),
     ],
 )
 def test_rejected_config_creates_no_directory(tmp_path, capsys, args, name):
@@ -493,6 +543,15 @@ def test_rejected_config_creates_no_directory(tmp_path, capsys, args, name):
     assert main(args + ["--config", write_config(tmp_path, VALID), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("dynlab: invalid config:") and name in err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_creates_no_directory(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "dynlab: invalid config: config must be a JSON object\n"
     assert not out.exists()
 
 

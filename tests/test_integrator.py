@@ -139,6 +139,8 @@ class TestIntegrate:
         cfg = IntegratorConfig()
         with pytest.raises(InvalidStateError):
             integrate(decay, np.array([np.nan]), 0.0, 1.0, 0.1, cfg)
+        with pytest.raises(InvalidStateError, match="flat vector"):
+            integrate(decay, np.ones((2, 1)), 0.0, 1.0, 0.1, cfg)
         with pytest.raises(ValueError):
             integrate(decay, np.array([1.0]), 1.0, 0.0, 0.1, cfg)
         with pytest.raises(ValueError):
@@ -154,6 +156,13 @@ class TestIntegrate:
         cfg = IntegratorConfig(max_steps=5)
         with pytest.raises(StepBudgetError):
             integrate(decay, np.array([1.0]), 0.0, 10.0, 10.0, cfg)
+        # RK4 at h = 0.01 spends 30 steps by t = 0.3, past the sample at 0.25.
+        cfg = IntegratorConfig(method="fixed-RK4", h_init=0.01, max_steps=30)
+        with pytest.raises(StepBudgetError, match="max_steps = 30 exhausted") as info:
+            integrate(decay, np.ones(5), 0.0, 1.0, 0.25, cfg)
+        assert info.value.t == pytest.approx(0.3)
+        traj = info.value.partial_traj
+        assert traj.times.tolist() == [0.0, 0.25] and traj.steps_taken == 30
 
     def test_stiffness_error(self):
         cfg = IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14, h_init=0.5, h_min=0.5, h_max=1.0)
@@ -184,6 +193,21 @@ class TestIntegrate:
         takes no step."""
         with pytest.raises(DimensionMismatchError, match="returned 4 components for a 5-vector"):
             integrate(lambda t, y: np.zeros(4), np.ones(5), 0.0, 1e-14, 1e-14, IntegratorConfig())
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        pytest.param(lambda: Trajectory([0.0, 1.0], np.ones((2, 3)), 2), "inconsistent shapes", id="traj-shape"),
+        pytest.param(lambda: Trajectory([0.0, 1.0, 1.0], np.ones((3, 2)), 2), "strictly increasing", id="traj-times"),
+        pytest.param(lambda: Trajectory([0.0, 1.0], [[0.0, 1.0], [np.inf, 0.0]], 2), "non-finite", id="traj-inf"),
+        pytest.param(lambda: TangentBundle(np.zeros(2), np.eye(3)[:2]), "d x d", id="bundle-shape"),
+        pytest.param(lambda: TangentBundle(np.zeros(2), [[1.0, np.nan], [0.0, 1.0]]), "non-finite", id="bundle-nan"),
+    ],
+)
+def test_types_refuse_malformed_values(make, match):
+    with pytest.raises(InvalidStateError, match=match):
+        make()
 
 
 class TestFixedRk4:
@@ -1285,6 +1309,22 @@ class TestTangentBlock:
             )
 
 
+def test_block_members_own_their_arrays():
+    """A block hands each member arrays of its own, as a run alone does:
+    writing into member 0's results leaves member 1's as its run left them."""
+    systems = [full_system(Params(c, -1.0, -0.5, 0.0)) for c in np.linspace(-2.5, -2.2, 21)]
+    assert len(systems) >= integrator._MIN_BATCH  # one `_Dp54Block`
+    bundles = [TangentBundle(base=np.array([0.73, -0.4, 0.2, 0.33, 0.11]), frame=np.eye(5))] * len(systems)
+    fields, jacobians = [s.field for s in systems], [s.jacobian for s in systems]
+    block = integrate_tangent_block(fields, jacobians, bundles, 0.0, 2.0, 1.0, IntegratorConfig(), 0.5)
+    (_, log0, traj0), (_, log1, traj1) = block[:2]
+    for a, b in [(traj0.times, traj1.times), (traj0.states, traj1.states), (log0.times, log1.times),
+                 (log0.intervals, log1.intervals), (log0.log_stretches, log1.log_stretches)]:
+        assert not np.shares_memory(a, b)
+    traj0.times[1] = 99.0
+    assert traj1.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def _reference_events(t0: float, t1: float, renorm_interval: float, out_stride):
     """(event times, renorm set, sample times or None, sample set) of a tangent run.
 
@@ -1296,37 +1336,6 @@ def _reference_events(t0: float, t1: float, renorm_interval: float, out_stride):
     renorm_set = set(renorm_times.tolist())
     sample_set = set(sample_times[1:].tolist()) if sample_times is not None else set()
     return sorted(renorm_set | sample_set), renorm_set, sample_times, sample_set
-
-
-def _reference_table(t0, t1, renorm_interval, out_stride):
-    """The block's event table as its set-based loop filled it: (stops,
-    sample slots, renorm slots, samples before, renorms before, renorm
-    times, intervals)."""
-    events, renorm_set, sample_times, sample_set = _reference_events(
-        t0, t1, renorm_interval, out_stride
-    )
-    n_ev = len(events)
-    n_samples = 0 if sample_times is None else sample_times.size
-    sample_slot = np.full(n_ev, n_samples)
-    renorm_slot = np.full(n_ev, -1)
-    samples_before = np.ones(n_ev + 1, dtype=int)
-    renorms_before = np.zeros(n_ev + 1, dtype=int)
-    renorm_times, intervals = [], []
-    for k, te in enumerate(events):
-        samples_before[k + 1] = samples_before[k]
-        if te in sample_set:
-            sample_slot[k] = samples_before[k]
-            samples_before[k + 1] += 1
-        renorms_before[k + 1] = len(renorm_times)
-        if te in renorm_set:
-            renorm_slot[k] = len(renorm_times)
-            intervals.append(te - (renorm_times[-1] if renorm_times else t0))
-            renorm_times.append(te)
-            renorms_before[k + 1] += 1
-    return (
-        np.array(events), sample_slot, renorm_slot, samples_before, renorms_before,
-        np.array(renorm_times), np.array(intervals),
-    )
 
 
 def _reference_run(stepper, t0, t1, renorm_interval, out_stride, d):
@@ -1419,42 +1428,42 @@ def _windows(rng, n):
 
 
 class TestEvents:
-    """The schedule of a run equals the set-based table it replaced."""
+    """The schedule of a run equals the set-based one it replaced."""
 
-    FIELDS = (
-        "times", "sample_slot", "renorm_slot", "samples_before", "renorms_before",
-        "renorm_times", "intervals",
-    )
-
-    def assert_table(self, t0, t1, stride, renorm):
+    def assert_schedule(self, t0, t1, stride, renorm):
         events = _Events(t0, t1, stride, renorm)
-        want = dict(zip(self.FIELDS, _reference_table(t0, t1, renorm, stride)))
-        if stride is None:  # no samples: every stop writes the spare row
-            assert np.all(events.sample_slot == events.spare)
-            del want["sample_slot"]
+        stops, renorm_set, _, sample_set = _reference_events(t0, t1, renorm, stride)
+        renorm_times = sorted(renorm_set)
+        want = {
+            "times": np.array(stops, dtype=float),
+            "sampled": np.array([te in sample_set for te in stops], dtype=bool),
+            "renormed": np.array([te in renorm_set for te in stops], dtype=bool),
+            "renorm_times": np.array(renorm_times, dtype=float),
+            "intervals": np.array([b - a for a, b in zip([t0] + renorm_times, renorm_times)], dtype=float),
+        }
         for name, value in want.items():
             got = getattr(events, name)
-            assert got.shape == value.shape and got.tobytes() == value.astype(got.dtype).tobytes(), name
-            assert got.dtype == value.dtype or got.dtype.kind == value.dtype.kind == "i", name
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
         return events
 
     def test_table_matches_reference(self):
         rng = np.random.default_rng(2024)
         for t0, t1, stride, renorm in _windows(rng, 300):
-            self.assert_table(t0, t1, stride, renorm)
+            self.assert_schedule(t0, t1, stride, renorm)
 
     def test_coincident_and_one_ulp_apart(self):
         """Stride 0.1 and renorm 0.3 from 0: 15 * 0.1 and 5 * 0.3 are both
         1.5, one stop that samples and renormalizes, but 3 * 0.1 lies one ulp
         above 0.3, so both are stops, one of each kind."""
-        events = self.assert_table(0.0, 3.0, 0.1, 0.3)
+        events = self.assert_schedule(0.0, 3.0, 0.1, 0.3)
         stops = events.times.tolist()
         k = stops.index(1.5)
-        assert events.sample_slot[k] == 15 and events.renorm_slot[k] == 4
+        assert events.sampled[k] and events.renormed[k]
         k = stops.index(0.3)
         assert stops[k + 1] == 0.30000000000000004 == np.nextafter(0.3, 1.0)
-        assert events.sample_slot[k] == events.spare and events.renorm_slot[k] == 0
-        assert events.sample_slot[k + 1] == 3 and events.renorm_slot[k + 1] == -1
+        assert not events.sampled[k] and events.renormed[k]
+        assert events.sampled[k + 1] and not events.renormed[k + 1]
 
     def test_validates_window_and_steps(self):
         for args in [(1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0, -0.1), (0.0, 1.0, None, 0.0),

@@ -20,6 +20,7 @@ from dynlab.invariants import (
     verification_suite,
 )
 from dynlab.model import Params, equilibrium, full_system, full_vector_field, lift
+from dynlab.reduction import k_drift
 
 RNG = np.random.default_rng(23)
 
@@ -85,6 +86,8 @@ class TestCheckTrajectory:
         traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)), dimension=3)
         with pytest.raises(DimensionMismatchError):
             check_trajectory(traj, Params(-1, 0, -1, 0), 1e-8)
+        with pytest.raises(DimensionMismatchError):
+            k_drift(traj)
 
     def test_manifold_run_keeps_both_identities(self):
         """Starting on a K-plane, the bilinear and proportionality residuals

@@ -62,6 +62,8 @@ class TestFullField:
             full_vector_field(np.array([1.0, np.nan, 0.0, 0.0, 0.0]), p)
         with pytest.raises(InvalidStateError):
             full_vector_field(np.array([np.inf, 0.0, 0.0, 0.0, 0.0]), p)
+        with pytest.raises(InvalidStateError, match="expected a 5-vector"):
+            full_vector_field(np.ones(4), p)
 
     def test_swap_symmetry(self):
         """Swapping (y1,y2) with (y4,y5) commutes with the field."""
@@ -248,6 +250,8 @@ class TestLift:
         for fn, state in ((lift, z), (project, y)):
             with pytest.raises(InvalidStateError):
                 fn(state, bad)
+        with pytest.raises(InvalidStateError, match="K is not finite"):
+            reduced_system(Params(-1.0, -1.0, -0.5, 0.0), bad)
             with pytest.raises(InvalidStateError):
                 fn([state, state], bad)
 
