@@ -296,12 +296,15 @@ def _scan_record(value: float, report, traj, settings: ScanSettings) -> ScanReco
         extrema = np.empty(0)
     else:
         extrema = _local_maxima(traj.states[:, 0], settings.extrema_cap)
+    error = report.error
+    if error is not None:  # its cause only: the partial results stay in the worker
+        error = type(error)(str(error), t=error.t, last_state=error.last_state)
     return ScanRecord(
         param_value=float(value),
         classification=label,
         exponents=report.exponents,
         extrema_sample=extrema,
-        error=report.error,
+        error=error,
     )
 
 

@@ -36,11 +36,10 @@ run writes f, J and J*Q into its loop.
 
 Every run follows one schedule (`_Events`: stop times, each flagged sampled,
 renormed or both) through one loop (`_run_events`): it steps exactly onto
-each stop, appends its state at a sampled one and, on a tangent run,
-re-orthonormalizes the frame and appends the log stretches at a renormed
-one.  No dense interpolation is ever used, so sampled states carry only the
-integration error itself.  A run's (RenormLog, Trajectory), finished or
-failed, is the lists it appended.
+each stop, records its state at a sampled one and, on a tangent run,
+re-orthonormalizes the frame and logs its stretches at a renormed one, so a
+failed run's partial results are what it recorded.  No dense interpolation
+is ever used, so sampled states carry only the integration error itself.
 
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
 or many on one schedule, and it chooses the route.  At least `_MIN_BATCH`
@@ -515,8 +514,8 @@ class _Events:
 
     `times` are the sample and renorm times after t0, sorted, a shared time
     once; out_stride None means no samples, renorm_interval None no frame.
-    At stop k a run appends its state to its samples if `sampled[k]` and the
-    log of its frame's stretches to its log if `renormed[k]`.
+    At stop k a run records its state if `sampled[k]` and the log of its
+    frame's stretches if `renormed[k]`.
     """
 
     def __init__(self, t0: float, t1: float, out_stride=None, renorm_interval=None):
@@ -533,32 +532,30 @@ class _Events:
 
     def results(self, samples, log_rows, taken, rejected):
         """(RenormLog, Trajectory-or-None) of a run, finished or partial, from
-        the d-vector samples it appended, the start first, and its log rows."""
-        d, n = len(samples[0]), len(log_rows)
-        times, intervals = self.renorm_times[:n].copy(), self.intervals[:n].copy()
-        log = RenormLog(times, intervals, np.reshape(log_rows, (n, d)))
+        the (m, d) samples it recorded, the start first, and its log rows."""
+        (m, d), n = samples.shape, len(log_rows)
+        log = RenormLog(self.renorm_times[:n].copy(), self.intervals[:n].copy(), np.reshape(log_rows, (n, d)))
         if self.sample_times is None:
             return log, None
-        n = len(samples)
-        traj = Trajectory(self.sample_times[:n].copy(), np.array(samples), d, int(taken), int(rejected))
-        return log, traj
+        return log, Trajectory(self.sample_times[:m].copy(), samples.copy(), d, int(taken), int(rejected))
 
 
 def _run_events(stepper, events: _Events, d: int):
-    """Step onto each stop: append y[:d] to the samples at a sampled one and,
-    at a renormed one, re-orthonormalize the d x d frame that follows it in y
-    and append the log of its stretches.  Returns (RenormLog, Trajectory-or-None), or raises the
+    """Step onto each stop: record y[:d] at a sampled one and, at a renormed
+    one, re-orthonormalize the d x d frame that follows it in y and log its
+    stretches.  Returns (RenormLog, Trajectory-or-None), or raises the
     IntegrationError with those of the stops passed as ``partial_log`` /
-    ``partial_traj``; a degenerate frame keeps the sample at its stop but not
-    the renorm."""
-    samples, log_rows = [stepper.y[:d]], []
+    ``partial_traj``; a degenerate frame keeps its stop's sample but not its renorm."""
+    samples = np.empty((np.count_nonzero(events.sampled) + 1, d))
+    samples[0], n, log_rows = stepper.y[:d], 1, []
     stops = zip(events.times.tolist(), events.sampled.tolist(), events.renormed.tolist())
     try:
         for te, sampled, renormed in stops:
             stepper.step_to(te)
             y = stepper.y
             if sampled:
-                samples.append(y[:d])
+                samples[n] = y[:d]
+                n += 1
             if not renormed:
                 continue
             q, stretches = _orthonormalize(np.array(y[d:]).reshape(d, d))
@@ -571,7 +568,7 @@ def _run_events(stepper, events: _Events, d: int):
             stepper.refresh_derivative()
     except IntegrationError as exc:
         exc.partial_log, exc.partial_traj = events.results(
-            samples, log_rows, stepper.steps_taken, stepper.steps_rejected
+            samples[:n], log_rows, stepper.steps_taken, stepper.steps_rejected
         )
         raise
     return events.results(samples, log_rows, stepper.steps_taken, stepper.steps_rejected)
@@ -755,7 +752,8 @@ class _Dp54Block:
         self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
 
         self.Y = np.array([np.concatenate((b.base, b.frame.ravel())) for b in bundles0])
-        self.samples = [[y] for y in self.Y[:, :d].copy()]  # per member, as `_run_events` appends
+        self.samples = np.empty((n, np.count_nonzero(events.sampled) + 1, d))
+        self.samples[:, 0], self.n_samples = self.Y[:, :d], np.ones(n, dtype=int)
         self.log_rows = [[] for _ in range(n)]
 
         self.t = np.full(n, float(t0))
@@ -788,8 +786,9 @@ class _Dp54Block:
         while idx.size:
             e = self.ev[idx]
             self.t[idx] = self.ev_t[e]
-            for i in idx[self.events.sampled[e]].tolist():
-                self.samples[i].append(self.Y[i, : self.d].copy())
+            i_s = idx[self.events.sampled[e]]
+            self.samples[i_s, self.n_samples[i_s]] = self.Y[i_s, : self.d]
+            self.n_samples[i_s] += 1
             renorm = self.events.renormed[e]
             if renorm.any():
                 self._renorm(idx[renorm])
@@ -801,7 +800,7 @@ class _Dp54Block:
                         base=self.Y[i, :d].copy(), frame=self.Y[i, d:].reshape(d, d).copy()
                     )
                     self.results[i] = (bundle,) + self.events.results(
-                        self.samples[i], self.log_rows[i], self.taken[i], self.rejected[i]
+                        self.samples[i, : self.n_samples[i]], self.log_rows[i], self.taken[i], self.rejected[i]
                     )
                     self.active[i] = False
             idx = idx[self.chained[e] & self.active[idx]]

@@ -23,6 +23,7 @@ from dynlab.analysis import (
     parameter_scan,
     trace_average,
 )
+from dynlab.errors import IntegrationError
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
 from dynlab.model import (
     DynamicalSystem,
@@ -336,6 +337,11 @@ class TestParameterScan:
         assert records[0].classification == "equilibrium"
         assert records[1].classification == "diverged"
         assert records[1].extrema_sample.size == 0
+        # The record keeps the cause of the failure, not the partial results.
+        assert records[0].error is None
+        error = records[1].error
+        assert isinstance(error, IntegrationError) and error.t is not None
+        assert not hasattr(error, "partial_traj") and not hasattr(error, "partial_log")
 
     def test_extrema_counted_and_capped(self):
         """The chaotic attractor produces y1 oscillations; the cap binds."""

@@ -250,10 +250,10 @@ class TestLift:
         for fn, state in ((lift, z), (project, y)):
             with pytest.raises(InvalidStateError):
                 fn(state, bad)
-        with pytest.raises(InvalidStateError, match="K is not finite"):
-            reduced_system(Params(-1.0, -1.0, -0.5, 0.0), bad)
             with pytest.raises(InvalidStateError):
                 fn([state, state], bad)
+        with pytest.raises(InvalidStateError, match="K is not finite"):
+            reduced_system(Params(-1.0, -1.0, -0.5, 0.0), bad)
 
     def test_wrong_last_axis_rejected(self):
         for fn, dim in ((lift, 3), (project, 5)):
