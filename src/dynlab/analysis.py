@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -177,23 +176,15 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
         bundle, log, traj = outcome
         terminal = bundle.base
 
-    if log.times.size == 0:
-        exponents = np.full(d, math.nan)
-        trace = np.empty((0, d))
-        trace_times = np.empty(0)
-    else:
-        sums = np.cumsum(log.log_stretches, axis=0)
-        elapsed = np.cumsum(log.intervals)
-        trace = sums / elapsed[:, None]
-        trace_times = log.times.copy()
-        exponents = np.sort(trace[-1])[::-1]
+    trace = np.cumsum(log.log_stretches, axis=0) / np.cumsum(log.intervals)[:, None]
+    exponents = np.sort(trace[-1])[::-1] if len(trace) else np.full(d, math.nan)
 
     report = LyapunovReport(
         exponents=exponents,
         t_total=t_total,
         renorm_interval=renorm_interval,
         convergence_trace=trace,
-        trace_times=trace_times,
+        trace_times=log.times.copy(),
         diverged=error is not None,
         error=error,
     )
@@ -374,6 +365,8 @@ def parameter_scan(
     if workers <= 1:
         shard_records = [_scan_shard(shards[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shard_records = list(pool.map(_scan_shard, shards))
     records = [None] * len(values)

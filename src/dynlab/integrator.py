@@ -44,9 +44,9 @@ is ever used, so sampled states carry only the integration error itself.
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
 or many on one schedule, and it chooses the route.  At least `_MIN_BATCH`
 DP54 members whose kernels share one formula advance together as one
-(n, d + d*d) array on column kernels built from their own formula constants
-(`_columns`), each member at its own stop of the schedule with its own time,
-step size, accept/reject decision, counters and budget.  The stages run over
+(d + d*d, n) array, one member a column, on column kernels of their own
+formula constants (`_columns`), each at its own stop of the schedule with its
+own time, step size, accept/reject, counters and budget.  The stages run over
 the block with the scalar stepper's expressions in the same order, each
 member's error norm is summed over its components in order, the controller
 runs per member on floats, and J*Q adds its products in `_jq`'s order, so
@@ -114,12 +114,14 @@ _ERROR_WEIGHTS = [(1, 71.0 / 57600.0), (3, -71.0 / 16695.0), (4, 71.0 / 1920.0),
                   (6, 22.0 / 525.0), (7, -1.0 / 40.0)]
 
 # A block of at least this many tangent runs advances as one `_Dp54Block`.
-# Measured on the tangent phase of criterion-9 C points (T = 100 + 150, tol
-# 1e-8, 2-vCPU VM) against point-by-point runs on the traced tangent loop,
-# block speed-up: 0.48x at 8 points, 0.53x at 10, 0.65x at 12, 0.82x at 16,
-# 0.96x at 20, 1.16x at 24, 1.46x at 32.  A block costs 7.0-8.3 s at any of
-# these n, a point 0.37-0.42 s.
-_MIN_BATCH = 21
+# Measured on the tangent phase of criterion-9 C points (C = linspace(-1.5,
+# -0.6, n), T = 100 + 150, tol 1e-8, 2-vCPU VM, 5 alternating pairs) against
+# point-by-point runs on the traced tangent loop, block speed-up of the
+# medians: 0.58x at 12 points, 1.03x at 16, 1.06x at 18, 1.39x at 20, 1.31x
+# at 24, 1.90x at 32.  A block costs 3.4-5.2 s at any of these n, a point
+# 0.22-0.27 s.  From 16 on the block is no slower; 17 leaves the 16-point
+# shares of the bench `scan` (32 points on 2 workers) point by point.
+_MIN_BATCH = 17
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -702,33 +704,28 @@ def _combination(weights, K):
 
 def _jq_columns(J, Q) -> np.ndarray:
     """J Q for a block: J is (d, d, n) with member m's entry [i, k] at
-    [i, k, m], Q (n, d*d) the members' frames row-major, and so is the
-    result.  One broadcast product, then the terms added over k left to
-    right in place, as `_jq` adds them."""
+    [i, k, m], Q (d*d, n) the members' frames row-major in columns, and so
+    is the result.  One broadcast product, then the terms added over k left
+    to right in place, as `_jq` adds them."""
     d, n = J.shape[0], J.shape[2]
-    products = J[:, :, None] * Q.T.reshape(d, d, n)  # [i, k, j, m] = J[i, k, m] * Q[m, k * d + j]
+    products = J[:, :, None] * Q.reshape(d, d, n)  # [i, k, j, m] = J[i, k, m] * Q[k * d + j, m]
     jq = products[:, 0].copy()
     for k in range(1, d):
         np.add(jq, products[:, k], out=jq)
-    return jq.reshape(d * d, n).T
+    return jq.reshape(d * d, n)
 
 
-def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, J: np.ndarray):
-    """K = [f(y), J(y) Q] row by row for a block Y of augmented states.
-
-    field and jacobian are column kernels; J (d, d, n) receives each
-    member's Jacobian in the column layout the kernel returns.
-    """
-    d, n = J.shape[0], J.shape[2]
-    cols = Y[:, :d].T
-    K[:, :d] = np.array(field(t, cols)).T
-    J[...] = np.array(jacobian(t, cols)).reshape(d, d, n)
-    K[:, d:] = _jq_columns(J, Y[:, d:])
+def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, d: int):
+    """K = [f(y), J(y) Q] for a block Y of augmented states, one member per
+    column; field and jacobian are column kernels and read rows 0..d-1."""
+    K[:d] = field(t, Y[:d])
+    K[d:] = _jq_columns(np.array(jacobian(t, Y[:d])).reshape(d, d, -1), Y[d:])
 
 
 class _Dp54Block:
     """`_Dp54Stepper.step_to` and `_run_events` on a block of tangent runs
-    that share one schedule: row i of every array is member i.
+    that share one schedule: every array holds the components in rows and
+    member i in column i, as the column kernels read and write them.
 
     Each member keeps its own place in the schedule (`ev`).  `run` returns
     each member's (final bundle, RenormLog, Trajectory-or-None), or None for
@@ -751,16 +748,15 @@ class _Dp54Block:
         self.ev_snap = np.append(1e-13 * np.maximum(1.0, np.abs(events.times)), 0.0)
         self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
 
-        self.Y = np.array([np.concatenate((b.base, b.frame.ravel())) for b in bundles0])
+        self.Y = np.stack([np.concatenate((b.base, b.frame.ravel())) for b in bundles0], axis=1)
         self.samples = np.empty((n, np.count_nonzero(events.sampled) + 1, d))
-        self.samples[:, 0], self.n_samples = self.Y[:, :d], np.ones(n, dtype=int)
+        self.samples[:, 0], self.n_samples = self.Y[:d].T, np.ones(n, dtype=int)
         self.log_rows = [[] for _ in range(n)]
 
         self.t = np.full(n, float(t0))
-        self.K1, self.Jc = np.empty_like(self.Y), np.empty((d, d, n))
-        _block_derivative(field, jacobian, self.t, self.Y, self.K1, self.Jc)
+        self.K1 = np.empty_like(self.Y)
+        _block_derivative(field, jacobian, self.t, self.Y, self.K1, d)
         self.Ks = [np.empty_like(self.Y) for _ in range(6)]  # stages 2..7
-        self.Js, self.J7 = np.empty((d, d, n)), np.empty((d, d, n))
         self.h_prop = np.full(n, min(cfg.h_init, cfg.h_max))
         self.taken = np.zeros(n, dtype=int)
         self.rejected = np.zeros(n, dtype=int)
@@ -769,17 +765,19 @@ class _Dp54Block:
         self.results = [None] * n
 
     def _renorm(self, idx: np.ndarray):
-        """Re-orthonormalize the frames of members idx."""
+        """Re-orthonormalize the frames of members idx and, as
+        `_Dp54Stepper.refresh_derivative` does, recompute their derivative's
+        frame part at their unchanged base states."""
         d, Y = self.d, self.Y
-        q, stretches = _orthonormalize(Y[idx, d:].reshape(idx.size, d, d))
+        q, stretches = _orthonormalize(Y[d:, idx].T.reshape(idx.size, d, d))
         ok = np.all(stretches != 0.0, axis=1)
         self.active[idx[~ok]] = False
         idx, q, stretches = idx[ok], q[ok], stretches[ok]
         for i, row in zip(idx.tolist(), stretches):
             self.log_rows[i].append(np.log(row))
-        Y[idx, d:] = q.reshape(idx.size, -1)
-        # The base state is unchanged, so its Jacobian is the cached one.
-        self.K1[idx, d:] = _jq_columns(self.Jc[:, :, idx], Y[idx, d:])
+        Y[d:, idx] = q.reshape(idx.size, -1).T
+        J = np.array(self.jacobian(self.t, Y[:d])).reshape(d, d, -1)
+        self.K1[d:, idx] = _jq_columns(J[:, :, idx], Y[d:, idx])
 
     def _reach_events(self, idx: np.ndarray):
         """Members idx stand at their next event: sample, renormalize, move on."""
@@ -787,7 +785,7 @@ class _Dp54Block:
             e = self.ev[idx]
             self.t[idx] = self.ev_t[e]
             i_s = idx[self.events.sampled[e]]
-            self.samples[i_s, self.n_samples[i_s]] = self.Y[i_s, : self.d]
+            self.samples[i_s, self.n_samples[i_s]] = self.Y[: self.d, i_s].T
             self.n_samples[i_s] += 1
             renorm = self.events.renormed[e]
             if renorm.any():
@@ -797,7 +795,7 @@ class _Dp54Block:
                 if self.active[i]:
                     d = self.d
                     bundle = TangentBundle(
-                        base=self.Y[i, :d].copy(), frame=self.Y[i, d:].reshape(d, d).copy()
+                        base=self.Y[:d, i].copy(), frame=self.Y[d:, i].reshape(d, d).copy()
                     )
                     self.results[i] = (bundle,) + self.events.results(
                         self.samples[i, : self.n_samples[i]], self.log_rows[i], self.taken[i], self.rejected[i]
@@ -806,8 +804,8 @@ class _Dp54Block:
             idx = idx[self.chained[e] & self.active[idx]]
 
     def run(self) -> list:
-        cfg, Y, K1, t, active = self.cfg, self.Y, self.K1, self.t, self.active
-        field, jacobian, Js = self.field, self.jacobian, self.Js
+        cfg, Y, K1, t, active, d = self.cfg, self.Y, self.K1, self.t, self.active, self.d
+        field, jacobian = self.field, self.jacobian
         atol, rtol = cfg.abs_tol, cfg.rel_tol
         K = [None, K1] + self.Ks  # K[s] holds stage s
         self._reach_events(np.flatnonzero(self.ev_t[self.ev] - t <= self.ev_snap[self.ev]))
@@ -821,20 +819,19 @@ class _Dp54Block:
                 remaining = target - t
                 capped = self.h_prop >= remaining
                 h = np.where(active, np.where(capped, remaining, self.h_prop), 0.0)
-                hc = h[:, None]
                 for s, (c, weights) in enumerate(_STAGES, start=2):
-                    _block_derivative(field, jacobian, t + c * h, Y + hc * _combination(weights, K), K[s], Js)
+                    _block_derivative(field, jacobian, t + c * h, Y + h * _combination(weights, K), K[s], d)
                 t_new = t + h
-                Y_new = Y + hc * _combination(_WEIGHTS, K)
-                _block_derivative(field, jacobian, t_new, Y_new, K[7], self.J7)
+                Y_new = Y + h * _combination(_WEIGHTS, K)
+                _block_derivative(field, jacobian, t_new, Y_new, K[7], d)
                 scale = atol + rtol * np.maximum(np.abs(Y), np.abs(Y_new))
-                r = hc * _combination(_ERROR_WEIGHTS, K) / scale
-                err = np.sqrt(np.cumsum(r * r, axis=1)[:, -1] / Y.shape[1])
+                r = h * _combination(_ERROR_WEIGHTS, K) / scale
+                err = np.sqrt(np.cumsum(r * r, axis=0)[-1] / Y.shape[0])
 
                 # A non-finite stage state makes Y_new non-finite, and a NaN
                 # makes a maximum NaN, which fails the comparison.
                 if not np.abs(Y_new).max() <= BLOWUP_THRESHOLD:
-                    active &= np.abs(Y_new).max(axis=1) <= BLOWUP_THRESHOLD
+                    active &= np.abs(Y_new).max(axis=0) <= BLOWUP_THRESHOLD
 
                 accept = active & (err <= 1.0)
                 reject = active & ~accept
@@ -842,9 +839,8 @@ class _Dp54Block:
                 h_next = np.minimum(h * factor, cfg.h_max)
                 np.copyto(t_new, target, where=np.abs(t_new - target) <= snap)
                 np.copyto(t, t_new, where=accept)
-                np.copyto(Y, Y_new, where=accept[:, None])
-                np.copyto(K1, K[7], where=accept[:, None])
-                np.copyto(self.Jc, self.J7, where=accept)
+                np.copyto(Y, Y_new, where=accept)
+                np.copyto(K1, K[7], where=accept)
                 self.taken += accept
                 self.rejected += reject
                 np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))

@@ -673,6 +673,11 @@ def _truth_rhs(y, a):
     return [0.0, -a * x]
 
 
+def _constant_rhs(y, a):
+    x, v = y
+    return [a * v, 0.0]
+
+
 def _formula_kernel(fn, *consts):
     """A float kernel that carries its formula."""
 
@@ -978,9 +983,10 @@ class TestInlinedFormula:
             assert self.route(kernel, [0.5, 0.1]) == "<DP54 step loop, d = 2, _defaulted_rhs>"
         assert _dp54_loop(2, _defaulted_rhs, 1) is not _dp54_loop(2, _defaulted_rhs, 2)
 
-    @pytest.mark.parametrize("fn", [_equals_rhs, _truth_rhs], ids=["equals", "truth"])
+    @pytest.mark.parametrize("fn", [_equals_rhs, _truth_rhs, _constant_rhs], ids=["equals", "truth", "constant"])
     def test_formula_that_tests_a_value_is_called(self, fn):
-        """x == 0.0 and `if x:` raise TypeError on a stand-in, so the loop
+        """x == 0.0 and `if x:` raise TypeError on a stand-in, and a constant
+        component gives a float where the tracer needs a stand-in, so the loop
         calls the kernel at each stage."""
         assert _trace(fn, 2, 1) is None
         assert self.route(_formula_kernel(fn, 2.0), [0.5, 0.1]) == "<DP54 step loop, d = 2, kernel calls>"
