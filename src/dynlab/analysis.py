@@ -75,8 +75,11 @@ class LyapunovReport:
     renorm_interval: float
     convergence_trace: np.ndarray  # running estimates, one row per renorm
     trace_times: np.ndarray
-    diverged: bool = False
     error: IntegrationError | None = None  # what ended a diverged run
+
+    @property
+    def diverged(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
@@ -168,13 +171,12 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
     carries the log and samples so far: an error of the transient an empty
     log, which gives NaN exponents.
     """
-    if isinstance(outcome, IntegrationError):
-        error, terminal = outcome, None
-        log, traj = outcome.partial_log, outcome.partial_traj
-    else:
-        error = None
+    error = outcome if isinstance(outcome, IntegrationError) else None
+    if error is None:
         bundle, log, traj = outcome
         terminal = bundle.base
+    else:
+        log, traj, terminal = error.partial_log, error.partial_traj, None
 
     trace = np.cumsum(log.log_stretches, axis=0) / np.cumsum(log.intervals)[:, None]
     exponents = np.sort(trace[-1])[::-1] if len(trace) else np.full(d, math.nan)
@@ -185,7 +187,6 @@ def _spectrum_report(outcome, d: int, t_total: float, renorm_interval: float):
         renorm_interval=renorm_interval,
         convergence_trace=trace,
         trace_times=log.times.copy(),
-        diverged=error is not None,
         error=error,
     )
     return report, traj, terminal
@@ -227,10 +228,8 @@ def classify(report: LyapunovReport, traj: Trajectory, eps_zero: float = 1e-3) -
     all-negative spectrum, so the spectrum verdict stands even when the
     trajectory tail still shows motion (under-resolved transient).
     """
-    if report.diverged:
-        return "diverged"
     lam = report.exponents
-    if not np.all(np.isfinite(lam)):
+    if report.diverged or not np.all(np.isfinite(lam)):
         return "diverged"
     if lam[0] > eps_zero:
         return "chaotic"

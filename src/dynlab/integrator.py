@@ -20,7 +20,7 @@ same formula, so both routes give bitwise-identical results.  The same holds
 for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
 tangent frame is formed from those entries by one routine either way (`_jq`:
 each entry a float sum over k in a fixed order, so it does not depend on the
-BLAS kernel; only the QR of a renorm does).
+BLAS kernel; only the QR of a renorm, in `_renorm_frames`, does).
 
 The DP54 step loop is generated once per dimension d and field formula
 (`_dp54_loop`), as `dataclasses` builds its methods: its state lives in
@@ -38,7 +38,9 @@ Every run follows one schedule (`_Events`: stop times, each flagged sampled,
 renormed or both) through one loop (`_run_events`): it steps exactly onto
 each stop, records its state at a sampled one and, on a tangent run,
 re-orthonormalizes the frame and logs its stretches at a renormed one, so a
-failed run's partial results are what it recorded.  No dense interpolation
+failed run's partial results are what it recorded.  One routine
+(`_renorm_frames`) renormalizes a lone run's frame and a block's frames; it
+is the one step whose bits depend on LAPACK.  No dense interpolation
 is ever used, so sampled states carry only the integration error itself.
 
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
@@ -113,14 +115,14 @@ _WEIGHTS = [(1, 35.0 / 384.0), (3, 500.0 / 1113.0), (4, 125.0 / 192.0), (5, -218
 _ERROR_WEIGHTS = [(1, 71.0 / 57600.0), (3, -71.0 / 16695.0), (4, 71.0 / 1920.0), (5, -17253.0 / 339200.0),
                   (6, 22.0 / 525.0), (7, -1.0 / 40.0)]
 
-# A block of at least this many tangent runs advances as one `_Dp54Block`.
-# Measured on the tangent phase of criterion-9 C points (C = linspace(-1.5,
-# -0.6, n), T = 100 + 150, tol 1e-8, 2-vCPU VM, 5 alternating pairs) against
-# point-by-point runs on the traced tangent loop, block speed-up of the
-# medians: 0.58x at 12 points, 1.03x at 16, 1.06x at 18, 1.39x at 20, 1.31x
-# at 24, 1.90x at 32.  A block costs 3.4-5.2 s at any of these n, a point
-# 0.22-0.27 s.  From 16 on the block is no slower; 17 leaves the 16-point
-# shares of the bench `scan` (32 points on 2 workers) point by point.
+# A block of at least this many tangent runs advances as one `_Dp54Block`:
+# the measured crossover, where the block ties point-by-point runs at 16
+# members and pays from 17.  Measured on the tangent phase of criterion-9 C
+# points (C = linspace(-1.5, -0.6, n), T = 100 + 150, tol 1e-8, 2-vCPU VM,
+# 5 alternating pairs) against point-by-point runs on the traced tangent
+# loop, block speed-up of the medians: 0.58x at 12 points, 1.03x at 16,
+# 1.06x at 18, 1.39x at 20, 1.31x at 24, 1.90x at 32.  A block costs
+# 3.4-5.2 s at any of these n, a point 0.22-0.27 s.
 _MIN_BATCH = 17
 
 _SAFETY = 0.9
@@ -401,7 +403,7 @@ class _Dp54Stepper:
         self.refresh_derivative()
         formula, self.consts = getattr(kernel, "formula", (None, ()))
         self.loop = _dp54_loop(len(y0), formula, len(self.consts))
-        self.h_prop = min(cfg.h_init, cfg.h_max)
+        self.h_prop = cfg.h_init
         self.steps_taken = 0
         self.steps_rejected = 0
 
@@ -560,12 +562,12 @@ def _run_events(stepper, events: _Events, d: int):
                 n += 1
             if not renormed:
                 continue
-            q, stretches = _orthonormalize(np.array(y[d:]).reshape(d, d))
-            if np.any(stretches == 0.0):
+            q, logs, [full] = _renorm_frames(np.array(y[d:]).reshape(1, d, d))
+            if not full:
                 raise BlowUpError(
                     f"tangent frame degenerated at t = {te!r}", t=te, last_state=np.array(y[:d])
                 )
-            log_rows.append(np.log(stretches))
+            log_rows += logs
             stepper.y = y[:d] + q.ravel().tolist()
             stepper.refresh_derivative()
     except IntegrationError as exc:
@@ -600,6 +602,20 @@ def _orthonormalize(frame: np.ndarray):
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     signs = np.where(diag < 0.0, -1.0, 1.0)
     return q * signs[..., None, :], np.abs(diag)
+
+
+def _renorm_frames(frames: np.ndarray):
+    """Re-orthonormalize a (k, d, d) stack of frames.
+
+    Returns (Q, log stretches, full rank): the mask flags the frames with no
+    zero stretch, and Q and the log rows, one per flagged frame in stack
+    order, are theirs.  Each row is logged on its own, so a stacked frame
+    gets the bits of a lone one.  This is the one step of a run whose bits
+    depend on LAPACK.
+    """
+    q, stretches = _orthonormalize(frames)
+    full = np.all(stretches != 0.0, axis=1)
+    return q[full], [np.log(row) for row in stretches[full]], full
 
 
 def _check_frames(bundles):
@@ -640,26 +656,21 @@ def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
 
     Y holds y followed by the d x d frame row-major; J Q is `_jq`.  When both
     kernels carry a formula, so does this one, and the step loop writes f, J
-    and J Q into every stage; otherwise the kernels are called, same bits.
+    and J Q into every stage; the kernels compute those formulas, so a call
+    gives the same bits.
     """
+
+    def tangent(t, Y):
+        y = Y[:d]
+        return [*field_kernel(t, y), *_jq(jacobian_kernel(t, y), Y[d:], d)]
+
     field_formula = getattr(field_kernel, "formula", None)
     jacobian_formula = getattr(jacobian_kernel, "formula", None)
     if field_formula and jacobian_formula:
         (field_fn, field_consts), (jacobian_fn, jacobian_consts) = field_formula, jacobian_formula
         fn = _tangent_formula(field_fn, jacobian_fn, d, len(field_consts))
-        consts = (*field_consts, *jacobian_consts)
-
-        def tangent(t, Y):
-            return fn(Y, *consts)
-
-        tangent.formula = (fn, consts)
-        return tangent
-
-    def aug(t, Y):
-        y = Y[:d]
-        return [*field_kernel(t, y), *_jq(jacobian_kernel(t, y), Y[d:], d)]
-
-    return aug
+        tangent.formula = (fn, (*field_consts, *jacobian_consts))
+    return tangent
 
 
 def integrate_with_tangents(
@@ -757,7 +768,7 @@ class _Dp54Block:
         self.K1 = np.empty_like(self.Y)
         _block_derivative(field, jacobian, self.t, self.Y, self.K1, d)
         self.Ks = [np.empty_like(self.Y) for _ in range(6)]  # stages 2..7
-        self.h_prop = np.full(n, min(cfg.h_init, cfg.h_max))
+        self.h_prop = np.full(n, cfg.h_init)
         self.taken = np.zeros(n, dtype=int)
         self.rejected = np.zeros(n, dtype=int)
         self.ev = np.zeros(n, dtype=int)
@@ -765,16 +776,15 @@ class _Dp54Block:
         self.results = [None] * n
 
     def _renorm(self, idx: np.ndarray):
-        """Re-orthonormalize the frames of members idx and, as
-        `_Dp54Stepper.refresh_derivative` does, recompute their derivative's
-        frame part at their unchanged base states."""
+        """Renormalize the frames of members idx, drop those that lost rank
+        and, as `_Dp54Stepper.refresh_derivative` does, recompute the others'
+        derivative's frame part at their unchanged base states."""
         d, Y = self.d, self.Y
-        q, stretches = _orthonormalize(Y[d:, idx].T.reshape(idx.size, d, d))
-        ok = np.all(stretches != 0.0, axis=1)
-        self.active[idx[~ok]] = False
-        idx, q, stretches = idx[ok], q[ok], stretches[ok]
-        for i, row in zip(idx.tolist(), stretches):
-            self.log_rows[i].append(np.log(row))
+        q, logs, full = _renorm_frames(Y[d:, idx].T.reshape(idx.size, d, d))
+        self.active[idx[~full]] = False
+        idx = idx[full]
+        for i, row in zip(idx.tolist(), logs):
+            self.log_rows[i].append(row)
         Y[d:, idx] = q.reshape(idx.size, -1).T
         J = np.array(self.jacobian(self.t, Y[:d])).reshape(d, d, -1)
         self.K1[d:, idx] = _jq_columns(J[:, :, idx], Y[d:, idx])
@@ -835,8 +845,9 @@ class _Dp54Block:
 
                 accept = active & (err <= 1.0)
                 reject = active & ~accept
-                factor = np.array([_controller_factor(x) for x in err.tolist()])
-                h_next = np.minimum(h * factor, cfg.h_max)
+                factors = [_controller_factor(x) for x in err[active].tolist()]  # members that attempted a step
+                h_next = np.zeros_like(h)
+                h_next[active] = np.minimum(h[active] * factors, cfg.h_max)
                 np.copyto(t_new, target, where=np.abs(t_new - target) <= snap)
                 np.copyto(t, t_new, where=accept)
                 np.copyto(Y, Y_new, where=accept)

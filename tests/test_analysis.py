@@ -53,7 +53,7 @@ def constant_report(exponents, diverged=False):
         renorm_interval=1.0,
         convergence_trace=np.tile(lam, (5, 1)),
         trace_times=np.arange(1.0, 6.0),
-        diverged=diverged,
+        error=IntegrationError("constructed divergence") if diverged else None,
     )
 
 
@@ -231,6 +231,8 @@ class TestClassify:
         assert classify(constant_report([1e-5, -1e-5, -2.0]), traj) == "quasiperiodic-or-torus"
         assert classify(constant_report([-0.5, -1.0, -2.0]), traj) == "equilibrium"
         assert classify(constant_report([0.4, 0.0, -1.0], diverged=True), traj) == "diverged"
+        assert constant_report([0.4, 0.0, -1.0], diverged=True).diverged
+        assert not constant_report([0.4, 0.0, -1.0]).diverged
 
     def test_eps_zero_threshold(self):
         traj = circle_trajectory(10.0, 0.1)

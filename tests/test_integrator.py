@@ -32,6 +32,7 @@ from dynlab.integrator import (
     TangentBundle,
     Trajectory,
     _check_blowup,
+    _columns,
     _controller_factor,
     _Dp54Block,
     _Dp54Stepper,
@@ -42,6 +43,7 @@ from dynlab.integrator import (
     _mismatch,
     _orthonormalize,
     _output_times,
+    _renorm_frames,
     _rk4_step,
     _run_events,
     _tangent_kernel,
@@ -1259,6 +1261,31 @@ class TestTangentBlock:
             block[0],
             lambda: integrate_with_tangents(decay, lambda t, y: A, bundles[0], 0.0, 5.0, 1.0, cfg, out_stride=0.5),
         )
+
+    def test_controller_runs_for_the_members_that_attempt_a_step(self, monkeypatch):
+        """A block calls the step-size controller once per attempted step of
+        a member, not for the members that are done."""
+        systems = [_system(Params(-1.0, -1.0, -0.5, 0.0), "C", c) for c in (-1.5, -1.0, -0.6)]
+        field, jacobian = _columns([s.field for s in systems]), _columns([s.jacobian for s in systems])
+        bundles = [TangentBundle(base=np.array([0.73, -0.4, 0.2, 0.33, 0.11]), frame=np.eye(5))] * 3
+        calls = []
+        monkeypatch.setattr(integrator, "_controller_factor", lambda err: calls.append(err) or _controller_factor(err))
+        block = _Dp54Block(field, jacobian, bundles, 0.0, _Events(0.0, 5.0, 0.5, 1.0), IntegratorConfig())
+        assert None not in block.run()
+        assert len(calls) == (block.taken + block.rejected).sum()
+
+    def test_renorm_of_a_stack_with_a_lost_frame(self):
+        """Each full-rank frame of a stack gets the Q and log row of its own
+        renorm; only the frame that lost rank is flagged."""
+        frames = np.random.default_rng(5).normal(size=(5, 5, 5))
+        frames[2, :, 3] = 0.0
+        q, logs, full = _renorm_frames(frames)
+        assert full.tolist() == [True, True, False, True, True]
+        assert len(q) == len(logs) == 4
+        for k, q_k, log_k in zip([0, 1, 3, 4], q, logs):
+            [q_own], [log_own], [full_own] = _renorm_frames(frames[k : k + 1])
+            assert full_own
+            assert q_k.tobytes() == q_own.tobytes() and log_k.tobytes() == log_own.tobytes()
 
     def test_validates_like_the_scalar_run(self):
         systems = [_system(Params(-1.0, -1.0, -0.5, 0.0), "C", c) for c in (-1.0, -0.8)]
