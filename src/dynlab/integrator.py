@@ -1,17 +1,19 @@
 """Explicit ODE integration for the toolkit's smooth, non-stiff flows.
 
-Two methods:
+One stepper (`_Stepper`) runs either method:
 
 * ``adaptive-DP54`` -- Dormand-Prince 5(4) embedded pair with the FSAL stage
   reused, weighted-RMS error control (scale = abs_tol + rel_tol * max(|y|
   before, after)), safety factor 0.9 and step-factor clamp [0.2, 5.0].
 * ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init,
-  kept as an independent cross-check.
+  its first stage evaluated at the start of every step, kept as an
+  independent cross-check of the method; a reference test pins its field
+  evaluation to kernel calls.
 
-Both steppers work on Python floats: the state, the stages, the error norm
+The stepper works on Python floats: the state, the stages, the error norm
 and the step-size controller are lists and floats, because at five (or
 thirty) components numpy's per-call overhead costs more than the
-arithmetic.  They run on a float kernel ``kernel(t, y: list) -> list``.  A field
+arithmetic.  It runs on a float kernel ``kernel(t, y: list) -> list``.  A field
 that carries one as its ``kernel`` attribute (the callables of
 ``model.full_system`` / ``model.reduced_system``) is run through it;
 any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
@@ -22,17 +24,18 @@ tangent frame is formed from those entries by one routine either way (`_jq`:
 each entry a float sum over k in a fixed order, so it does not depend on the
 BLAS kernel; only the QR of a renorm, in `_renorm_frames`, does).
 
-The DP54 step loop is generated once per dimension d and field formula
-(`_dp54_loop`), as `dataclasses` builds its methods: its state lives in
+The step loop is generated once per method, dimension d and field formula
+(`_step_loop`), as `dataclasses` builds its methods: its state lives in
 locals, and each component is written out with the expression a loop over
-components would use, in the same order, so it gives that loop's bits.  What
-a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes, traced
-once on stand-in numbers (`_trace`, one per constant), is written into every
-stage, so all systems of one formula and constant count share one loop; any
-other kernel, or a formula that branches on its values or calls a function,
-is called at each, same bits.  The tangent kernel of a field and a Jacobian
-that both carry a formula carries one too (`_tangent_formula`), so a tangent
-run writes f, J and J*Q into its loop.
+components would use, in the same order, so it gives that loop's bits.  Both
+methods share the step budget, the new-state blow-up test and the field:
+what a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes,
+traced once on stand-in numbers (`_trace`, one per constant), is written into
+every stage, so all systems of one formula and constant count share one loop;
+any other kernel, or a formula that branches on its values or calls a
+function, is called at each, same bits.  The tangent kernel of a field and a
+Jacobian that both carry a formula carries one too (`_tangent_formula`), so a
+tangent run writes f, J and J*Q into its loop.
 
 Every run follows one schedule (`_Events`: stop times, each flagged sampled,
 renormed or both) through one loop (`_run_events`): it steps exactly onto
@@ -60,7 +63,8 @@ through `integrate_with_tangents`, which builds every error and partial
 result.  A block iteration costs about as much at any n, so a block pays only
 from `_MIN_BATCH` members on.
 
-A stage state that goes non-finite, or a new state
+A DP54 stage state that goes non-finite (RK4 tests no stage state: a
+non-finite one carries into its new state), or a new state
 with any component non-finite or outside [-1e12, 1e12], aborts with
 BlowUpError; a derivative with the wrong number of components, at any
 stage, aborts with DimensionMismatchError.  All routines are deterministic:
@@ -216,23 +220,6 @@ def _validate_initial(y0) -> np.ndarray:
     return y
 
 
-def _finite(v: list) -> bool:
-    """Whether every component of v is finite.
-
-    NaN and inf carry through a sum, and inf - inf is NaN.  A sum of finite
-    components past 1.8e308 fails too; a state that large has blown up anyway.
-    """
-    s = sum(v)
-    return s - s == 0.0
-
-
-def _check_blowup(y: list, t: float):
-    # min() and max() skip a NaN that is not the first element (comparisons
-    # with NaN are false), hence the separate finiteness test.
-    if not (_finite(y) and -BLOWUP_THRESHOLD <= min(y) and max(y) <= BLOWUP_THRESHOLD):
-        raise BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=np.array(y))
-
-
 def _float_kernel(fn):
     """The callable's own float kernel, or the adapter around its array form."""
     kernel = getattr(fn, "kernel", None)
@@ -320,32 +307,36 @@ def step_to(self, t_target):
             capped = h_prop >= t_target - t
             h = t_target - t if capped else h_prop
 {attempt}
-            if err <= 1.0:
-                t = t_target if abs(tn - t_target) <= snap else tn
-                {y} = {w}
-                {k1} = {k7}
-                taken += 1
-                if not capped:
-                    h_prop = min(h * _controller_factor(err), h_max)
-            else:
-                rejected += 1
-                h_prop = min(h * _controller_factor(err), h_max)
-                if h_prop < h_min:
-                    msg = f"step size fell below h_min = {{h_min!r}} at t = {{t!r}}"
-                    raise StiffnessError(msg, t=t, last_state=np.array([{y}]))
         t = t_target
     finally:
         self.t, self.h_prop, self.steps_taken, self.steps_rejected = t, h_prop, taken, rejected
         self.y, self.k1 = [{y}], [{k1}]
 """
 
+# How a DP54 attempt ends: accept the step or reject it, and adapt h.
+_DP54_CONTROL = """\
+if err <= 1.0:
+    t = t_target if abs(tn - t_target) <= snap else tn
+    {y} = {w}
+    {k1} = {k7}
+    taken += 1
+    if not capped:
+        h_prop = min(h * _controller_factor(err), h_max)
+else:
+    rejected += 1
+    h_prop = min(h * _controller_factor(err), h_max)
+    if h_prop < h_min:
+        msg = f"step size fell below h_min = {{h_min!r}} at t = {{t!r}}"
+        raise StiffnessError(msg, t=t, last_state=np.array([{y}]))"""
+
 
 @functools.lru_cache(maxsize=None)
-def _dp54_loop(d: int, formula, n_consts: int):
-    """`_LOOP` on d-vectors for a field formula with n_consts constants
-    (None: call the kernel), its attempt written out per component with the
-    tableau's floats inlined and the squared error terms summed in component
-    order."""
+def _step_loop(method: str, d: int, formula, n_consts: int):
+    """`_LOOP` of the method on d-vectors for a field formula with n_consts
+    constants (None: call the kernel), its attempt written out per component.
+    DP54 inlines the tableau's floats and sums the squared error terms in
+    component order.  RK4 has the classical step's expressions, evaluates its
+    first stage at the start of every step and never rejects one."""
 
     def each(fmt, sep="\n"):
         return sep.join(fmt.format(i=i) for i in range(d))
@@ -361,39 +352,58 @@ def _dp54_loop(d: int, formula, n_consts: int):
     inline = _trace(formula, d, n_consts) if formula else None
     consts, field = inline or ([], call)
 
-    last_state = f"last_state=np.array([{row('y_')}])"
-    attempt = []
-    for s, (c, weights) in enumerate(_STAGES, start=2):
-        attempt += [
-            f"ts = t + {c!r} * h" if c != 1.0 else "ts = t + h",
-            each(f"z{{i}} = y_{{i}} + h * ({combo(weights)})"),
-            f"s = {each('z{i}', ' + ')}\nif not s - s == 0.0:",
-            f'    raise BlowUpError(f"non-finite state during step at t = {{ts!r}}", t=ts, {last_state})',
-            field.format(ts="ts", local="z", out=f"k{s}_"),
-        ]
     bound = repr(BLOWUP_THRESHOLD)
-    attempt += [
-        each(f"w{{i}} = y_{{i}} + h * ({combo(_WEIGHTS)})"),
+    new_state = [  # the new state w at tn = t + h, with the blow-up test
         f"tn = t + h\ns = {each('w{i}', ' + ')}",
         f"if not (s - s == 0.0 and {each(f'-{bound} <= w{{i}} <= {bound}', ' and ')}):",
         f'    raise BlowUpError(f"solution blew up at t = {{tn!r}}", t=tn, last_state=np.array([{row("w")}]))',
-        field.format(ts="tn", local="w", out="k7_"),
-        each("u = y_{i} if y_{i} >= 0.0 else -y_{i}\nv = w{i} if w{i} >= 0.0 else -w{i}\n"
-             f"r{{i}} = h * ({combo(_ERROR_WEIGHTS)}) / (atol + rtol * (u if u > v else v))"),
-        f"err = math.sqrt(({each('r{i} * r{i}', ' + ')}) / {d})",
     ]
+    if method == "fixed-RK4":
+        attempt = [field.format(ts="t", local="y_", out="k1_")]
+        for s, c in enumerate(["0.5 * h", "0.5 * h", "h"], start=2):
+            attempt += [
+                f"ts = t + {c}",
+                each(f"z{{i}} = y_{{i}} + {c} * k{s - 1}_{{i}}"),
+                field.format(ts="ts", local="z", out=f"k{s}_"),
+            ]
+        attempt += [
+            each("w{i} = y_{i} + (h / 6.0) * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"),
+            *new_state,
+            f"t = t_target if abs(tn - t_target) <= snap else tn\n{row('y_')} = {row('w')}\ntaken += 1",
+        ]
+    else:
+        last_state = f"last_state=np.array([{row('y_')}])"
+        attempt = []
+        for s, (c, weights) in enumerate(_STAGES, start=2):
+            attempt += [
+                f"ts = t + {c!r} * h" if c != 1.0 else "ts = t + h",
+                each(f"z{{i}} = y_{{i}} + h * ({combo(weights)})"),
+                f"s = {each('z{i}', ' + ')}\nif not s - s == 0.0:",
+                f'    raise BlowUpError(f"non-finite state during step at t = {{ts!r}}", t=ts, {last_state})',
+                field.format(ts="ts", local="z", out=f"k{s}_"),
+            ]
+        attempt += [
+            each(f"w{{i}} = y_{{i}} + h * ({combo(_WEIGHTS)})"),
+            *new_state,
+            field.format(ts="tn", local="w", out="k7_"),
+            each("u = y_{i} if y_{i} >= 0.0 else -y_{i}\nv = w{i} if w{i} >= 0.0 else -w{i}\n"
+                 f"r{{i}} = h * ({combo(_ERROR_WEIGHTS)}) / (atol + rtol * (u if u > v else v))"),
+            f"err = math.sqrt(({each('r{i} * r{i}', ' + ')}) / {d})",
+            _DP54_CONTROL.format(y=row("y_"), w=row("w"), k1=row("k1_"), k7=row("k7_")),
+        ]
     source = _LOOP.format(
-        y=row("y_"), k1=row("k1_"), w=row("w"), k7=row("k7_"),
+        y=row("y_"), k1=row("k1_"),
         consts=f"[{', '.join(consts)}] = self.consts" if inline else "",
         attempt=textwrap.indent("\n".join(attempt), " " * 12),
     )
+    name = "RK4" if method == "fixed-RK4" else "DP54"
     route = formula.__qualname__ if inline else "kernel calls"
-    exec(compile(source, f"<DP54 step loop, d = {d}, {route}>", "exec"), globals(), loop := {})
+    exec(compile(source, f"<{name} step loop, d = {d}, {route}>", "exec"), globals(), loop := {})
     return loop["step_to"]
 
 
-class _Dp54Stepper:
-    """Adaptive stepper on floats, stepped by the loop of its d and formula."""
+class _Stepper:
+    """Stepper on floats, stepped by the loop of its method, d and formula."""
 
     def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
         self.kernel = kernel
@@ -402,13 +412,15 @@ class _Dp54Stepper:
         self.y = y0
         self.refresh_derivative()
         formula, self.consts = getattr(kernel, "formula", (None, ()))
-        self.loop = _dp54_loop(len(y0), formula, len(self.consts))
+        self.loop = _step_loop(cfg.method, len(y0), formula, len(self.consts))
         self.h_prop = cfg.h_init
         self.steps_taken = 0
         self.steps_rejected = 0
 
     def refresh_derivative(self):
-        """Recompute the cached derivative after the state was replaced."""
+        """Recompute the cached derivative after the state was replaced, and
+        check its length.  DP54's loop takes it as its first stage; RK4's
+        evaluates its own at every step and leaves this one unused."""
         self.k1 = self.kernel(self.t, self.y)
         if len(self.k1) != len(self.y):
             raise _mismatch(self.k1, len(self.y))
@@ -421,69 +433,6 @@ def _controller_factor(err_norm: float) -> float:
     if err_norm == 0.0 or not math.isfinite(err_norm):
         return _FACTOR_MAX if err_norm == 0.0 else _FACTOR_MIN
     return min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err_norm**-0.2))
-
-
-class _Rk4Stepper:
-    """Fixed-step classical RK4 stepper on the float kernel, with the same interface."""
-
-    def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
-        self.kernel = kernel
-        self.cfg = cfg
-        self.t = t0
-        self.y = y0
-        self.steps_taken = 0
-        self.steps_rejected = 0
-
-    def refresh_derivative(self):
-        pass
-
-    def step_to(self, t_target: float):
-        cfg = self.cfg
-        snap = 1e-13 * max(1.0, abs(t_target))
-        while t_target - self.t > snap:
-            if self.steps_taken >= cfg.max_steps:
-                msg = f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}"
-                raise StepBudgetError(msg, t=self.t, last_state=np.array(self.y))
-            h = min(cfg.h_init, t_target - self.t)
-            self.y = _rk4_step(self.kernel, self.y, self.t, h)
-            t_new = self.t + h
-            self.t = t_target if abs(t_new - t_target) <= snap else t_new
-            self.steps_taken += 1
-        self.t = t_target
-
-
-def _rk4_step(kernel, y: list, t: float, h: float) -> list:
-    """One classical 4th-order Runge-Kutta step on floats.
-
-    Each component is the expression of the step written on arrays, in the
-    same order.  Raises BlowUpError on a bad new state and
-    DimensionMismatchError on a derivative of the wrong length.
-    """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    d = len(y)
-
-    def stage(ts, z):
-        f = kernel(ts, z)
-        if len(f) != d:
-            raise _mismatch(f, d)
-        return f
-
-    k1 = stage(t, y)
-    k2 = stage(t + 0.5 * h, [u + 0.5 * h * a for u, a in zip(y, k1)])
-    k3 = stage(t + 0.5 * h, [u + 0.5 * h * b for u, b in zip(y, k2)])
-    k4 = stage(t + h, [u + h * c for u, c in zip(y, k3)])
-    y_new = [
-        u + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e) for u, a, b, c, e in zip(y, k1, k2, k3, k4)
-    ]
-    _check_blowup(y_new, t + h)
-    return y_new
-
-
-def _make_stepper(kernel, t0: float, y0: list, cfg: IntegratorConfig):
-    """The configured method's stepper on the float kernel."""
-    stepper = _Dp54Stepper if cfg.method == "adaptive-DP54" else _Rk4Stepper
-    return stepper(kernel, t0, y0, cfg)
 
 
 def _output_times(t0: float, t1: float, out_stride: float) -> np.ndarray:
@@ -588,7 +537,7 @@ def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: Integrato
     """
     events = _Events(t0, t1, float(out_stride))
     y = _validate_initial(y0)
-    stepper = _make_stepper(_float_kernel(field), t0, y.tolist(), cfg)
+    stepper = _Stepper(_float_kernel(field), t0, y.tolist(), cfg)
     return _run_events(stepper, events, y.size)[1]
 
 
@@ -697,7 +646,7 @@ def integrate_with_tangents(
     d = bundle0.base.size
     aug = _tangent_kernel(_float_kernel(field), _float_kernel(jacobian), d)
     Y0 = bundle0.base.tolist() + bundle0.frame.ravel().tolist()
-    stepper = _make_stepper(aug, t0, Y0, cfg)
+    stepper = _Stepper(aug, t0, Y0, cfg)
     log, traj = _run_events(stepper, events, d)
     frame = np.array(stepper.y[d:]).reshape(d, d)
     return TangentBundle(base=np.array(stepper.y[:d]), frame=frame), log, traj
@@ -734,7 +683,7 @@ def _block_derivative(field, jacobian, t, Y: np.ndarray, K: np.ndarray, d: int):
 
 
 class _Dp54Block:
-    """`_Dp54Stepper.step_to` and `_run_events` on a block of tangent runs
+    """DP54's `_Stepper.step_to` and `_run_events` on a block of tangent runs
     that share one schedule: every array holds the components in rows and
     member i in column i, as the column kernels read and write them.
 
@@ -777,7 +726,7 @@ class _Dp54Block:
 
     def _renorm(self, idx: np.ndarray):
         """Renormalize the frames of members idx, drop those that lost rank
-        and, as `_Dp54Stepper.refresh_derivative` does, recompute the others'
+        and, as `_Stepper.refresh_derivative` does, recompute the others'
         derivative's frame part at their unchanged base states."""
         d, Y = self.d, self.Y
         q, logs, full = _renorm_frames(Y[d:, idx].T.reshape(idx.size, d, d))

@@ -31,21 +31,18 @@ from dynlab.integrator import (
     RenormLog,
     TangentBundle,
     Trajectory,
-    _check_blowup,
     _columns,
     _controller_factor,
     _Dp54Block,
-    _Dp54Stepper,
-    _dp54_loop,
     _Events,
-    _finite,
     _float_kernel,
     _mismatch,
     _orthonormalize,
     _output_times,
     _renorm_frames,
-    _rk4_step,
     _run_events,
+    _step_loop,
+    _Stepper,
     _tangent_kernel,
     _trace,
     integrate,
@@ -86,6 +83,7 @@ class TestConfig:
             {"h_min": 0.5, "h_init": 0.1},
             {"h_init": 1.0, "h_max": 0.1},
             {"max_steps": 0},
+            {"h_init": -0.1},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -191,10 +189,13 @@ class TestIntegrate:
             integrate(field, np.ones(5), 0.0, 1.0, 0.5, IntegratorConfig(method=method))
 
     def test_wrong_length_in_a_window_shorter_than_the_snap(self):
-        """DP54 checks the first derivative's length even when its window
-        takes no step."""
-        with pytest.raises(DimensionMismatchError, match="returned 4 components for a 5-vector"):
-            integrate(lambda t, y: np.zeros(4), np.ones(5), 0.0, 1e-14, 1e-14, IntegratorConfig())
+        """Either method checks the first derivative's length even when its
+        window takes no step."""
+        for method in ("adaptive-DP54", "fixed-RK4"):
+            with pytest.raises(DimensionMismatchError, match="returned 4 components for a 5-vector"):
+                integrate(
+                    lambda t, y: np.zeros(4), np.ones(5), 0.0, 1e-14, 1e-14, IntegratorConfig(method=method)
+                )
 
 
 @pytest.mark.parametrize(
@@ -212,15 +213,21 @@ def test_types_refuse_malformed_values(make, match):
         make()
 
 
+def _rk4_once(field, y, h):
+    """The state after one RK4 step of h from y at t = 0, through `integrate`."""
+    cfg = IntegratorConfig(method="fixed-RK4", h_init=h, h_max=max(h, 0.1))
+    return integrate(field, np.array(y), 0.0, h, h, cfg).states[-1]
+
+
 class TestFixedRk4:
     def test_constant_derivative(self):
-        y = _rk4_step(lambda t, y: [1.0], [0.0], 0.0, 0.5)
+        y = _rk4_once(lambda t, y: np.ones(1), [0.0], 0.5)
         assert y[0] == 0.5
 
     def test_update_polynomial(self):
         """RK4 on y'=y reproduces 1 + h + h^2/2 + h^3/6 + h^4/24 exactly."""
         h = 0.1
-        y = _rk4_step(lambda t, y: y, [1.0], 0.0, h)
+        y = _rk4_once(lambda t, y: y, [1.0], h)
         expected = 1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24
         assert abs(y[0] - expected) < 1e-12
 
@@ -230,15 +237,11 @@ class TestFixedRk4:
             y = [1.0]
             t = 0.0
             while t < 1.0 - 1e-12:
-                y = _rk4_step(lambda t, y: [-u for u in y], y, t, h)
+                y = _rk4_once(decay, y, h)
                 t += h
             errs.append(abs(y[0] - math.exp(-1.0)))
         ratio = errs[0] / errs[1]
         assert 16.0 * 0.8 <= ratio <= 16.0 * 1.2
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            _rk4_step(lambda t, y: [-u for u in y], [1.0], 0.0, -0.1)
 
     def test_global_order_slope(self):
         """log-error vs log-h slope on y'=-y is 4.0 +/- 0.2 for h in [1e-3, 1e-1]."""
@@ -412,13 +415,13 @@ class TestKernelAndAdapterPaths:
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
-from dynlab.integrator import IntegratorConfig, _Dp54Stepper, _tangent_kernel
+from dynlab.integrator import IntegratorConfig, _Stepper, _tangent_kernel
 from dynlab.model import Params, full_system
 a = np.random.default_rng(0).normal(size=(2, 100, 5, 5))
 system = full_system(Params(C=-1.0, D=-1.0, E=-0.5, F=0.0))
 kernel = _tangent_kernel(system.field.kernel, system.jacobian.kernel, 5)
 y0 = [0.73, -0.4, 0.2, 0.33, 0.11] + np.eye(5).ravel().tolist()
-stepper = _Dp54Stepper(kernel, 0.0, y0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8))
+stepper = _Stepper(kernel, 0.0, y0, IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8))
 stepper.step_to(5.0)
 for v in (a[0] @ a[1], np.array(stepper.y)):
     print(hashlib.sha256(v.tobytes()).hexdigest())
@@ -460,6 +463,23 @@ _B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 /
 _E1, _E3, _E4, _E5, _E6, _E7 = (
     71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 )
+
+
+def _finite(v: list) -> bool:
+    """Whether every component of v is finite.
+
+    NaN and inf carry through a sum, and inf - inf is NaN.  A sum of finite
+    components past 1.8e308 fails too; a state that large has blown up anyway.
+    """
+    s = sum(v)
+    return s - s == 0.0
+
+
+def _check_blowup(y: list, t: float):
+    # min() and max() skip a NaN that is not the first element (comparisons
+    # with NaN are false), hence the separate finiteness test.
+    if not (_finite(y) and -integrator.BLOWUP_THRESHOLD <= min(y) and max(y) <= integrator.BLOWUP_THRESHOLD):
+        raise BlowUpError(f"solution blew up at t = {t!r}", t=t, last_state=np.array(y))
 
 
 def _reference_attempt(kernel, t, h, y, k1, atol, rtol):
@@ -575,6 +595,79 @@ class _ReferenceStepper:
                         last_state=np.array(self.y),
                     )
         self.t = t_target
+
+
+def _rk4_step(kernel, y: list, t: float, h: float) -> list:
+    """One classical 4th-order Runge-Kutta step on floats.
+
+    Each component is the expression of the step written on arrays, in the
+    same order.  Raises BlowUpError on a bad new state and
+    DimensionMismatchError on a derivative of the wrong length.
+    """
+    if h <= 0.0:
+        raise ValueError("step size must be positive")
+    d = len(y)
+
+    def stage(ts, z):
+        f = kernel(ts, z)
+        if len(f) != d:
+            raise _mismatch(f, d)
+        return f
+
+    k1 = stage(t, y)
+    k2 = stage(t + 0.5 * h, [u + 0.5 * h * a for u, a in zip(y, k1)])
+    k3 = stage(t + 0.5 * h, [u + 0.5 * h * b for u, b in zip(y, k2)])
+    k4 = stage(t + h, [u + h * c for u, c in zip(y, k3)])
+    y_new = [
+        u + (h / 6.0) * (a + 2.0 * b + 2.0 * c + e) for u, a, b, c, e in zip(y, k1, k2, k3, k4)
+    ]
+    _check_blowup(y_new, t + h)
+    return y_new
+
+
+class _Rk4Stepper:
+    """The RK4 stepper as the hand-written loop around `_rk4_step`, which
+    calls the kernel at every stage: the reference that the generated RK4
+    loop must match bit for bit."""
+
+    def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
+        self.kernel = kernel
+        self.cfg = cfg
+        self.t = t0
+        self.y = y0
+        self.steps_taken = 0
+        self.steps_rejected = 0
+
+    def refresh_derivative(self):
+        pass
+
+    def step_to(self, t_target: float):
+        cfg = self.cfg
+        snap = 1e-13 * max(1.0, abs(t_target))
+        while t_target - self.t > snap:
+            if self.steps_taken >= cfg.max_steps:
+                msg = f"max_steps = {cfg.max_steps} exhausted at t = {self.t!r}"
+                raise StepBudgetError(msg, t=self.t, last_state=np.array(self.y))
+            h = min(cfg.h_init, t_target - self.t)
+            self.y = _rk4_step(self.kernel, self.y, self.t, h)
+            t_new = self.t + h
+            self.t = t_target if abs(t_new - t_target) <= snap else t_new
+            self.steps_taken += 1
+        self.t = t_target
+
+
+# The hand-written stepper each method's generated loop must match.
+_REFERENCE = {"adaptive-DP54": _ReferenceStepper, "fixed-RK4": _Rk4Stepper}
+
+
+def _by_method(values):
+    """pytest params of (method, value) for each value: a DP54 case's id is
+    the value, an RK4 case's `value-fixed-RK4`."""
+    return [
+        pytest.param(m, v, id=str(v) if m == "adaptive-DP54" else f"{v}-{m}")
+        for m in ("adaptive-DP54", "fixed-RK4")
+        for v in values
+    ]
 
 
 def _coupled_kernel(d, rng):
@@ -751,9 +844,11 @@ def _kernels(d, rng):
     return out
 
 
-def _stepper_state(stepper):
-    """t, y, k1, h_prop and the counters, as exact bytes."""
-    floats = [stepper.t, stepper.h_prop] + list(stepper.y) + list(stepper.k1)
+def _stepper_state(stepper, method="adaptive-DP54"):
+    """t, y and the counters, with DP54's h_prop and k1, as exact bytes."""
+    floats = [stepper.t] + list(stepper.y)
+    if method == "adaptive-DP54":
+        floats += [stepper.h_prop] + list(stepper.k1)
     return np.array(floats).tobytes(), stepper.steps_taken, stepper.steps_rejected
 
 
@@ -774,26 +869,28 @@ def _assert_same_run(got, want):
 
 
 class TestGeneratedAttempt:
-    """The DP54 step loop generated per dimension and field formula equals the
-    hand-written loop around the list-comprehension attempt bit for bit, on
-    both routes: a formula written inline and a kernel called at each stage."""
+    """The step loop generated per method, dimension and field formula equals
+    the hand-written loop bit for bit (DP54's around the list-comprehension
+    attempt, RK4's around `_rk4_step`), on both routes: a formula written
+    inline and a kernel called at each stage."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 12, 30])
-    def test_matches_reference(self, d):
+    @pytest.mark.parametrize("method, d", _by_method([1, 2, 3, 5, 12, 30]))
+    def test_matches_reference(self, method, d):
         """Over random stops, some a snap apart, and a state replaced every
-        fourth stop, every stop leaves equal t, y, k1, h_prop and counters;
-        steps are rejected (some with err_norm past the factor clamp) and
-        capped onto stops."""
+        fourth stop, every stop leaves equal t, y and counters, and for DP54
+        equal k1 and h_prop; DP54 rejects steps (some with err_norm past the
+        factor clamp), and steps are capped onto stops."""
         rng = np.random.default_rng(d)
         for name, kernel, reference, y0 in _kernels(d, rng):
             gaps = 10.0 ** rng.uniform(-2.0, 0.3, 40)
             gaps[0], gaps[1::7] = 2.5, 1e-14  # a long first step; stops within a snap
             stops = np.cumsum(gaps).tolist()
-            cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10, h_init=0.8, h_max=0.8)
-            new = _Dp54Stepper(kernel, 0.0, list(y0), cfg)
-            ref = _ReferenceStepper(reference, 0.0, list(y0), cfg)
+            h = 0.8 if method == "adaptive-DP54" else 0.05
+            cfg = IntegratorConfig(method=method, abs_tol=1e-12, rel_tol=1e-10, h_init=h, h_max=h)
+            new = _Stepper(kernel, 0.0, list(y0), cfg)
+            ref = _REFERENCE[method](reference, 0.0, list(y0), cfg)
             fn, consts = getattr(kernel, "formula", (None, ()))
-            assert new.loop is _dp54_loop(d, fn, len(consts))
+            assert new.loop is _step_loop(method, d, fn, len(consts))
             assert ("kernel calls" in new.loop.__code__.co_filename) != name.startswith("inline"), name
             errors, reached = [], 0
 
@@ -802,7 +899,8 @@ class TestGeneratedAttempt:
                 errors.append(out[2])
                 return out
 
-            ref.attempt = recorded
+            if method == "adaptive-DP54":
+                ref.attempt = recorded
             for k, te in enumerate(stops):
                 before = ref.steps_taken
                 for stepper in (new, ref):
@@ -811,17 +909,19 @@ class TestGeneratedAttempt:
                         stepper.y = [0.9 * v for v in stepper.y]
                         stepper.refresh_derivative()
                 reached += ref.steps_taken > before  # the last step onto a stop is capped
-                assert _stepper_state(new) == _stepper_state(ref), (name, k)
-            assert min(errors) <= 1.0 < max(errors), name
-            assert max(errors) > (_SAFETY / _FACTOR_MIN) ** 5, name  # the factor clamps at 0.2
+                assert _stepper_state(new, method) == _stepper_state(ref, method), (name, k)
+            if method == "adaptive-DP54":
+                assert min(errors) <= 1.0 < max(errors), name
+                assert max(errors) > (_SAFETY / _FACTOR_MIN) ** 5, name  # the factor clamps at 0.2
             assert reached > 0, name
 
-    @pytest.mark.parametrize("d", [1, 3, 5])
-    def test_blow_up_matches_reference(self, d):
-        """StepBudgetError, StiffnessError, a non-finite stage state, a new
-        state past 1e12 (and one exactly at 1e12, which is fine) end both
+    @pytest.mark.parametrize("method, d", _by_method([1, 3, 5]))
+    def test_blow_up_matches_reference(self, method, d):
+        """StepBudgetError, StiffnessError (DP54), a non-finite stage state, a
+        new state past 1e12 (and one exactly at 1e12, which is fine) end both
         loops alike: error type, message, time, last state and partial
-        results."""
+        results.  RK4 tests no stage state, so a non-finite one is a blow-up
+        of the new state at t + h."""
         p = Params(C=0.5, D=1.0, E=0.2, F=0.1)
         model = {3: reduced_system(p, 0.7).field.kernel, 5: full_system(p).field.kernel}
         formula = model.get(d, _formula_kernel(_logistic_rhs, 1.3, 0.7))
@@ -829,28 +929,31 @@ class TestGeneratedAttempt:
         past = float(np.nextafter(top, 2 * top))  # one ulp past the threshold
         stiff = {"h_init": 0.5, "h_min": 0.4, "h_max": 1.0}  # the first rejection goes below h_min
         cases = [
-            ("budget", formula, [0.3] * d, IntegratorConfig(max_steps=7)),
-            ("stiff", formula, [0.3] * d, IntegratorConfig(abs_tol=1e-14, rel_tol=1e-14, **stiff)),
-            ("stage", formula, [1e100] * d, IntegratorConfig()),
-            ("grows", formula, [1e5] * d, IntegratorConfig(h_max=1e-3)),
-            ("stage", lambda t, y: [1e200 * (1.0 + u * u) for u in y], [0.5] * d, IntegratorConfig()),
-            ("past", lambda t, y: [1e13 for u in y], [0.5] * d, IntegratorConfig(h_init=0.2, h_max=0.2)),
-            ("at", _formula_kernel(_logistic_rhs, 0.0, 0.0), [top], IntegratorConfig()),
-            ("at", lambda t, y: [0.0] * d, [-top] * d, IntegratorConfig()),
-            ("ulp", lambda t, y: [0.0] * d, [0.5] * (d - 1) + [past], IntegratorConfig()),
-            ("ulp", _formula_kernel(_logistic_rhs, 0.0, 0.0), [-past], IntegratorConfig()),
+            ("budget", formula, [0.3] * d, {"max_steps": 7}),
+            ("stiff", formula, [0.3] * d, {"abs_tol": 1e-14, "rel_tol": 1e-14, **stiff}),
+            ("stage", formula, [1e100] * d, {}),
+            ("grows", formula, [1e5] * d, {"h_max": 1e-3}),
+            ("stage", lambda t, y: [1e200 * (1.0 + u * u) for u in y], [0.5] * d, {}),
+            ("past", lambda t, y: [1e13 for u in y], [0.5] * d, {"h_init": 0.2, "h_max": 0.2}),
+            ("at", _formula_kernel(_logistic_rhs, 0.0, 0.0), [top], {}),
+            ("at", lambda t, y: [0.0] * d, [-top] * d, {}),
+            ("ulp", lambda t, y: [0.0] * d, [0.5] * (d - 1) + [past], {}),
+            ("ulp", _formula_kernel(_logistic_rhs, 0.0, 0.0), [-past], {}),
         ]
         kinds = set()
-        for name, kernel, y0, cfg in cases:
+        for name, kernel, y0, kwargs in cases:
             if len(y0) != d:
                 continue
+            cfg = IntegratorConfig(method=method, **kwargs)
             events = _Events(0.0, 2.0, 0.25)
             runs = [
                 _outcome(lambda: _run_events(stepper(kernel, 0.0, list(y0), cfg), events, d))
-                for stepper in (_Dp54Stepper, _ReferenceStepper)
+                for stepper in (_Stepper, _REFERENCE[method])
             ]
             _assert_same_run(*runs)
             kinds.add((name, runs[1][0]))
+            if name == "stage" and method == "fixed-RK4":  # in the first step, h = 1e-3
+                assert runs[1][1] == "solution blew up at t = 0.001"
 
         # A derivative of the wrong length raises where the stepper computes
         # it, at construction or when it is refreshed.
@@ -858,41 +961,43 @@ class TestGeneratedAttempt:
             return [-u for u in y][: d - 1 if shrinks.short else d]
 
         shrinks.short = False
-        stepper = _Dp54Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig())
+        stepper = _Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig(method=method))
         stepper.step_to(1.0)
         shrinks.short = True
         message = f"returned {d - 1} components for a {d}-vector"
         with pytest.raises(DimensionMismatchError, match=message):
             stepper.refresh_derivative()
         with pytest.raises(DimensionMismatchError, match=message):
-            _Dp54Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig())
+            _Stepper(shrinks, 0.0, [1.0] * d, IntegratorConfig(method=method))
         assert kinds >= {
-            ("budget", StepBudgetError), ("stiff", StiffnessError), ("stage", BlowUpError),
-            ("past", BlowUpError), ("at", "done"), ("ulp", BlowUpError),
+            ("budget", StepBudgetError), ("stage", BlowUpError), ("past", BlowUpError), ("at", "done"),
+            ("ulp", BlowUpError),
         }
+        assert (("stiff", StiffnessError) in kinds) == (method == "adaptive-DP54")
 
-    def test_generated_once_per_dimension(self):
-        """One loop per (d, formula, constant count) per process, shared by
-        every system of a formula whatever its constants' values; none is
-        generated at import."""
+    @pytest.mark.parametrize("method", ["adaptive-DP54", "fixed-RK4"])
+    def test_generated_once_per_dimension(self, method):
+        """One loop per (method, d, formula, constant count) per process,
+        shared by every system of a formula whatever its constants' values;
+        none is generated at import."""
+        cfg = IntegratorConfig(method=method)
         rng = np.random.default_rng(4)
-        _dp54_loop.cache_clear()
+        _step_loop.cache_clear()
         systems = [full_system(_random_params(rng)) for _ in range(3)]
-        loops = {
-            _Dp54Stepper(s.field.kernel, 0.0, [0.1] * 5, IntegratorConfig()).loop for s in systems
-        }
+        loops = {_Stepper(s.field.kernel, 0.0, [0.1] * 5, cfg).loop for s in systems}
         for s in systems:
-            integrate(s.field, np.full(5, 0.1), 0.0, 1.0, 0.5, IntegratorConfig())
-        assert loops == {_dp54_loop(5, _full_rhs, 4)}
-        assert _dp54_loop.cache_info().misses == 1
-        assert len({_dp54_loop(5, None, 0), _dp54_loop(3, _reduced_rhs, 5), _dp54_loop(5, _full_rhs, 4)}) == 3
-        assert _dp54_loop.cache_info().misses == 3
+            integrate(s.field, np.full(5, 0.1), 0.0, 1.0, 0.5, cfg)
+        assert loops == {_step_loop(method, 5, _full_rhs, 4)}
+        assert _step_loop.cache_info().misses == 1
+        assert len({_step_loop(method, 5, None, 0), _step_loop(method, 3, _reduced_rhs, 5),
+                    _step_loop(method, 5, _full_rhs, 4)}) == 3
+        assert _step_loop.cache_info().misses == 3
         frame = np.eye(5).ravel().tolist()
         tangents = [_tangent_kernel(s.field.kernel, s.jacobian.kernel, 5) for s in systems]
-        loops = {_Dp54Stepper(k, 0.0, [0.1] * 5 + frame, IntegratorConfig()).loop for k in tangents}
+        loops = {_Stepper(k, 0.0, [0.1] * 5 + frame, cfg).loop for k in tangents}
         assert len({k.formula[0] for k in tangents}) == len(loops) == 1
-        assert _dp54_loop.cache_info().misses == 4
-        code = "import dynlab, dynlab.cli; print(dynlab.integrator._dp54_loop.cache_info().currsize)"
+        assert _step_loop.cache_info().misses == 4
+        code = "import dynlab, dynlab.cli; print(dynlab.integrator._step_loop.cache_info().currsize)"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dynlab.__file__))},
@@ -924,7 +1029,7 @@ class TestInlinedFormula:
     def route(kernel, y0):
         """The file name of the kernel's loop, which steps as the reference loop does."""
         cfg = IntegratorConfig(abs_tol=1e-12, rel_tol=1e-10)
-        new, ref = (stepper(kernel, 0.0, list(y0), cfg) for stepper in (_Dp54Stepper, _ReferenceStepper))
+        new, ref = (stepper(kernel, 0.0, list(y0), cfg) for stepper in (_Stepper, _ReferenceStepper))
         for stepper in (new, ref):
             stepper.step_to(3.0)
         assert new.steps_taken > 10 and _stepper_state(new) == _stepper_state(ref)
@@ -983,7 +1088,7 @@ class TestInlinedFormula:
         for consts in [(1.5,), (1.5, 0.5)]:
             kernel = _formula_kernel(_defaulted_rhs, *consts)
             assert self.route(kernel, [0.5, 0.1]) == "<DP54 step loop, d = 2, _defaulted_rhs>"
-        assert _dp54_loop(2, _defaulted_rhs, 1) is not _dp54_loop(2, _defaulted_rhs, 2)
+        assert _step_loop("adaptive-DP54", 2, _defaulted_rhs, 1) is not _step_loop("adaptive-DP54", 2, _defaulted_rhs, 2)
 
     @pytest.mark.parametrize("fn", [_equals_rhs, _truth_rhs, _constant_rhs], ids=["equals", "truth", "constant"])
     def test_formula_that_tests_a_value_is_called(self, fn):
@@ -1094,7 +1199,7 @@ class TestNonFiniteBlowUp:
     @pytest.mark.parametrize("component", range(5))
     def test_rk4_new_state(self, component, value):
         with pytest.raises(BlowUpError):
-            _rk4_step(_float_kernel(_goes_bad(component, value, 0.0)), self.Y0.tolist(), 0.0, 0.1)
+            _rk4_once(_goes_bad(component, value, 0.0), self.Y0, 0.1)
 
 
 def _assert_same_outcome(block_outcome, scalar_run):
