@@ -5,8 +5,9 @@ One stepper (`_Stepper`) runs either method:
 * ``adaptive-DP54`` -- Dormand-Prince 5(4) embedded pair with the FSAL stage
   reused, weighted-RMS error control (scale = abs_tol + rel_tol * max(|y|
   before, after)), safety factor 0.9 and step-factor clamp [0.2, 5.0].
-* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init,
-  its first stage evaluated at the start of every step, kept as an
+* ``fixed-RK4`` -- classical fourth-order Runge-Kutta at constant h_init
+  (it reads neither h_min nor h_max, so only DP54 needs h_min <= h_init <=
+  h_max), its first stage evaluated at the start of every step, kept as an
   independent cross-check of the method; a reference test pins its field
   evaluation to kernel calls.
 
@@ -14,28 +15,31 @@ The stepper works on Python floats: the state, the stages, the error norm
 and the step-size controller are lists and floats, because at five (or
 thirty) components numpy's per-call overhead costs more than the
 arithmetic.  It runs on a float kernel ``kernel(t, y: list) -> list``.  A field
-that carries one as its ``kernel`` attribute (the callables of
-``model.full_system`` / ``model.reduced_system``) is run through it;
-any other field ``f(t, ndarray) -> ndarray`` goes through the adapter
-``f(t, np.array(y)).ravel().tolist()``.  The kernel and the field compute the
-same formula, so both routes give bitwise-identical results.  The same holds
-for the Jacobian, whose kernel returns its d*d entries row-major; J*Q for the
-tangent frame is formed from those entries by one routine either way (`_jq`:
-each entry a float sum over k in a fixed order, so it does not depend on the
-BLAS kernel; only the QR of a renorm, in `_renorm_frames`, does).
+that carries ``formula = (fn, constants)`` (the callables of
+``model.full_system`` / ``model.reduced_system``) is run on the kernel of its
+formula, ``(t, y) -> fn(y, *constants)``; any other field
+``f(t, ndarray) -> ndarray`` goes through the adapter
+``f(t, np.array(y)).ravel().tolist()``.  The formula and the field compute
+the same thing, so both routes give bitwise-identical results.  The same
+holds for the Jacobian, whose formula returns its d*d entries row-major; J*Q
+for the tangent frame is formed from those entries by one routine either way
+(`_jq`: each entry a float sum over k in a fixed order, so it does not depend
+on the BLAS kernel; only the QR of a renorm, in `_renorm_frames`, does).  One
+helper, `_formula_kernel`, builds every kernel of a formula: a field's, a
+tangent run's (`_tangent_formula` of the field and the Jacobian, on their
+constants joined) and a block's column kernel (`_columns`).
 
 The step loop is generated once per method, dimension d and field formula
 (`_step_loop`), as `dataclasses` builds its methods: its state lives in
 locals, and each component is written out with the expression a loop over
 components would use, in the same order, so it gives that loop's bits.  Both
 methods share the step budget, the new-state blow-up test and the field:
-what a kernel's ``formula = (fn, constants)`` (`model`'s fields) computes,
-traced once on stand-in numbers (`_trace`, one per constant), is written into
-every stage, so all systems of one formula and constant count share one loop;
-any other kernel, or a formula that branches on its values or calls a
-function, is called at each, same bits.  The tangent kernel of a field and a
-Jacobian that both carry a formula carries one too (`_tangent_formula`), so a
-tangent run writes f, J and J*Q into its loop.
+what a kernel's formula computes, traced once on stand-in numbers (`_trace`,
+one per constant), is written into every stage, so all systems of one
+formula and constant count share one loop; any other kernel, or a formula
+that branches on its values or calls a function, is called at each, same
+bits.  A tangent run of a field and a Jacobian that both carry a formula
+writes f, J and J*Q into its loop.
 
 Every run follows one schedule (`_Events`: stop times, each flagged sampled,
 renormed or both) through one loop (`_run_events`): it steps exactly onto
@@ -48,20 +52,20 @@ is ever used, so sampled states carry only the integration error itself.
 
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
 or many on one schedule, and it chooses the route.  At least `_MIN_BATCH`
-DP54 members whose kernels share one formula advance together as one
-(d + d*d, n) array, one member a column, on column kernels of their own
-formula constants (`_columns`), each at its own stop of the schedule with its
-own time, step size, accept/reject, counters and budget.  The stages run over
-the block with the scalar stepper's expressions in the same order, each
-member's error norm is summed over its components in order, the controller
-runs per member on floats, and J*Q adds its products in `_jq`'s order, so
-every member that completes gets the bits of its own `integrate_with_tangents`
-run.  The block only succeeds: a member whose next attempt would fail (step
-budget spent, new state out of range, step below h_min, degenerate frame) is
-dropped, and it and any set the block cannot take run member by member
-through `integrate_with_tangents`, which builds every error and partial
-result.  A block iteration costs about as much at any n, so a block pays only
-from `_MIN_BATCH` members on.
+DP54 members whose fields share one formula, and whose Jacobians share one,
+advance together as one (d + d*d, n) array, one member a column, on column
+kernels of their own formula constants (`_columns`), each at its own stop of
+the schedule with its own time, step size, accept/reject, counters and
+budget.  The stages run over the block with the scalar stepper's expressions
+in the same order, each member's error norm is summed over its components in
+order, the controller runs per member on floats, and J*Q adds its products in
+`_jq`'s order, so every member that completes gets the bits of its own
+`integrate_with_tangents` run.  The block only succeeds: a member whose next
+attempt would fail (step budget spent, new state out of range, step below
+h_min, degenerate frame) is dropped, and it and any set the block cannot take
+run member by member through `integrate_with_tangents`, which builds every
+error and partial result.  A block iteration costs about as much at any n, so
+a block pays only from `_MIN_BATCH` members on.
 
 A DP54 stage state that goes non-finite (RK4 tests no stage state: a
 non-finite one carries into its new state), or a new state
@@ -149,8 +153,10 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.h_min <= self.h_init <= self.h_max):
-            raise ValueError("need 0 < h_min <= h_init <= h_max")
+        if not (self.h_min > 0.0 and self.h_init > 0.0 and self.h_max > 0.0):
+            raise ValueError("need h_min, h_init and h_max positive")
+        if self.method == "adaptive-DP54" and not self.h_min <= self.h_init <= self.h_max:
+            raise ValueError("need h_min <= h_init <= h_max for adaptive-DP54")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -220,10 +226,22 @@ def _validate_initial(y0) -> np.ndarray:
     return y
 
 
+def _formula_kernel(formula):
+    """The kernel (t, y) -> fn(y, *constants) of a formula (fn, constants),
+    which it carries as its ``formula``."""
+    fn, constants = formula
+
+    def kernel(t, y):
+        return fn(y, *constants)
+
+    kernel.formula = formula
+    return kernel
+
+
 def _float_kernel(fn):
-    """The callable's own float kernel, or the adapter around its array form."""
-    kernel = getattr(fn, "kernel", None)
-    return kernel if kernel is not None else lambda t, y: fn(t, np.array(y)).ravel().tolist()
+    """The float kernel of the callable's formula, or the adapter around its array form."""
+    formula = getattr(fn, "formula", None)
+    return _formula_kernel(formula) if formula else lambda t, y: fn(t, np.array(y)).ravel().tolist()
 
 
 def _mismatch(f, d: int) -> DimensionMismatchError:
@@ -293,7 +311,7 @@ def _trace(fn, d: int, n_consts: int):
 
 _LOOP = """\
 def step_to(self, t_target):
-    cfg, kernel = self.cfg, self.kernel
+    cfg, kernel = self.cfg, self.field
     {consts}
     atol, rtol, h_min, h_max, max_steps = cfg.abs_tol, cfg.rel_tol, cfg.h_min, cfg.h_max, cfg.max_steps
     snap = 1e-13 * max(1.0, abs(t_target))
@@ -403,10 +421,11 @@ def _step_loop(method: str, d: int, formula, n_consts: int):
 
 
 class _Stepper:
-    """Stepper on floats, stepped by the loop of its method, d and formula."""
+    """Stepper on floats, stepped by the loop of its method, d and formula;
+    its `field` is the float kernel it was given."""
 
     def __init__(self, kernel, t0: float, y0: list, cfg: IntegratorConfig):
-        self.kernel = kernel
+        self.field = kernel
         self.cfg = cfg
         self.t = float(t0)  # a numpy scalar would make every stage numpy arithmetic
         self.y = y0
@@ -421,7 +440,7 @@ class _Stepper:
         """Recompute the cached derivative after the state was replaced, and
         check its length.  DP54's loop takes it as its first stage; RK4's
         evaluates its own at every step and leaves this one unused."""
-        self.k1 = self.kernel(self.t, self.y)
+        self.k1 = self.field(self.t, self.y)
         if len(self.k1) != len(self.y):
             raise _mismatch(self.k1, len(self.y))
 
@@ -600,25 +619,25 @@ def _tangent_formula(field_fn, jacobian_fn, d: int, n_field_consts: int):
     return tangent
 
 
-def _tangent_kernel(field_kernel, jacobian_kernel, d: int):
+def _tangent_kernel(field, jacobian, d: int):
     """Float kernel of the state and its frame: y' = f(y), Q' = J(y) Q.
 
     Y holds y followed by the d x d frame row-major; J Q is `_jq`.  When both
-    kernels carry a formula, so does this one, and the step loop writes f, J
-    and J Q into every stage; the kernels compute those formulas, so a call
-    gives the same bits.
+    callables carry a formula, the kernel is that of `_tangent_formula` on
+    their constants joined, and the step loop writes f, J and J Q into every
+    stage; otherwise it calls the two float kernels, with the same bits.
     """
+    field_formula, jacobian_formula = getattr(field, "formula", None), getattr(jacobian, "formula", None)
+    if field_formula and jacobian_formula:
+        (field_fn, field_consts), (jacobian_fn, jacobian_consts) = field_formula, jacobian_formula
+        fn = _tangent_formula(field_fn, jacobian_fn, d, len(field_consts))
+        return _formula_kernel((fn, (*field_consts, *jacobian_consts)))
+    field_kernel, jacobian_kernel = _float_kernel(field), _float_kernel(jacobian)
 
     def tangent(t, Y):
         y = Y[:d]
         return [*field_kernel(t, y), *_jq(jacobian_kernel(t, y), Y[d:], d)]
 
-    field_formula = getattr(field_kernel, "formula", None)
-    jacobian_formula = getattr(jacobian_kernel, "formula", None)
-    if field_formula and jacobian_formula:
-        (field_fn, field_consts), (jacobian_fn, jacobian_consts) = field_formula, jacobian_formula
-        fn = _tangent_formula(field_fn, jacobian_fn, d, len(field_consts))
-        tangent.formula = (fn, (*field_consts, *jacobian_consts))
     return tangent
 
 
@@ -644,9 +663,8 @@ def integrate_with_tangents(
     events = _Events(t0, t1, out_stride, float(renorm_interval))
     _check_frames([bundle0])
     d = bundle0.base.size
-    aug = _tangent_kernel(_float_kernel(field), _float_kernel(jacobian), d)
     Y0 = bundle0.base.tolist() + bundle0.frame.ravel().tolist()
-    stepper = _Stepper(aug, t0, Y0, cfg)
+    stepper = _Stepper(_tangent_kernel(field, jacobian, d), t0, Y0, cfg)
     log, traj = _run_events(stepper, events, d)
     frame = np.array(stepper.y[d:]).reshape(d, d)
     return TangentBundle(base=np.array(stepper.y[:d]), frame=frame), log, traj
@@ -811,18 +829,17 @@ class _Dp54Block:
 def _columns(callables):
     """The column kernel ``(t, cols) -> columns`` of a block of systems, or None.
 
-    Each callable's kernel must carry ``formula = (fn, constants)`` with one
-    and the same fn and number of constants (see `model`); the column kernel
-    runs fn on the state as d numpy columns with constant k as the column of
-    the members' k-th constants, so entry i gets the bits of member i's own
-    kernel.
+    Each callable must carry ``formula = (fn, constants)`` with one and the
+    same fn and number of constants (see `model`); the column kernel is the
+    kernel of fn with constant k the column of the members' k-th constants,
+    run on the state as d numpy columns, so entry i gets the bits of member
+    i's own float kernel.
     """
-    formulas = [getattr(getattr(f, "kernel", None), "formula", None) for f in callables]
+    formulas = [getattr(f, "formula", None) for f in callables]
     if None in formulas or len({(fn, len(c)) for fn, c in formulas}) != 1:
         return None
-    fn = formulas[0][0]
     constants = tuple(np.array(column, dtype=float) for column in zip(*(c for _, c in formulas)))
-    return lambda t, cols: fn(cols, *constants)
+    return _formula_kernel((formulas[0][0], constants))
 
 
 def integrate_tangent_block(

@@ -34,11 +34,12 @@ regime.  G and M are evaluated once per call so that components share bitwise
 identical subexpressions (several identity checks compare them at round-off
 level).  The public functions take float64 numpy vectors and raise
 InvalidStateError on non-finite input.  Each formula is written once, as an
-unvalidated float kernel; the public functions validate and call it, and the
-systems built by `full_system` / `reduced_system` hand it to the integrator
-as ``formula = (fn, constants)`` on both kernels.  A formula does the same
-arithmetic on whatever number-like values it gets (floats, the integrator's
-numpy columns and its tracing stand-ins) and does not branch on them.
+unvalidated function fn(y, *constants); the public functions validate and
+call it, and the field and Jacobian of the systems built by `full_system` /
+`reduced_system` carry it as ``formula = (fn, constants)``, from which the
+integrator builds its own kernels.  A formula does the same arithmetic on
+whatever number-like values it gets (floats, the integrator's numpy columns
+and its tracing stand-ins) and does not branch on them.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _as_state(y, dim: int) -> list:
     return vals
 
 
-# --- float kernels -----------------------------------------------------------
+# --- formulas ----------------------------------------------------------------
 # Each right-hand side and Jacobian is written once, here, without validation.
 # The state components and constants may be Python floats (the integrator's
 # stepper) or equal-length numpy columns (the vectorised verification suite,
@@ -295,14 +296,13 @@ class DynamicalSystem:
     """A vector field with its Jacobian in integrator signature f(t, y).
 
     Both callables take and return numpy arrays and validate the state.  The
-    ones built by `full_system` and `reduced_system` also carry a `kernel`
-    attribute: the same formula on a list of floats, unvalidated, returning
-    a list (the Jacobian's d*d entries row-major).  The integrator calls a
-    kernel directly when there is one.  Each kernel also carries
-    ``formula = (fn, constants)``, the function it calls with the state and
-    those constants: the integrator writes the field's into its step loop,
-    and runs a block of systems that share both formulas on columns of
-    their constants.
+    ones built by `full_system` and `reduced_system` also carry
+    ``formula = (fn, constants)``: fn(y, *constants) is the same formula on a
+    list of floats, unvalidated, returning a list (the Jacobian's d*d entries
+    row-major).  The integrator runs a callable that carries a formula on
+    that formula instead of the array form: it writes the field's into its
+    step loop, and runs a block of systems that share both formulas on
+    columns of their constants.
     """
 
     field: Callable[[float, np.ndarray], np.ndarray]
@@ -310,37 +310,25 @@ class DynamicalSystem:
     dim: int
 
 
-def _kernel(formula):
-    """The float kernel (t, y) -> fn(y, *constants) of a formula (fn, constants),
-    which it carries as its ``formula``."""
-    fn, constants = formula
-
-    def kernel(t, y):
-        return fn(y, *constants)
-
-    kernel.formula = formula
-    return kernel
-
-
-def _kernel_system(field_formula, jacobian_formula, dim: int) -> DynamicalSystem:
-    """Validated array callables around the kernels of a field and a Jacobian formula."""
-    field_kernel, jacobian_kernel = _kernel(field_formula), _kernel(jacobian_formula)
+def _formula_system(field_formula, jacobian_formula, dim: int) -> DynamicalSystem:
+    """Validated array callables of a field and a Jacobian formula, each
+    carrying its ``formula = (fn, constants)``."""
+    (field_fn, field_constants), (jacobian_fn, jacobian_constants) = field_formula, jacobian_formula
 
     def field(t, y):
-        return np.array(field_kernel(t, _as_state(y, dim)))
+        return np.array(field_fn(_as_state(y, dim), *field_constants))
 
     def jacobian(t, y):
-        return np.array(jacobian_kernel(t, _as_state(y, dim))).reshape(dim, dim)
+        return np.array(jacobian_fn(_as_state(y, dim), *jacobian_constants)).reshape(dim, dim)
 
-    field.kernel = field_kernel
-    jacobian.kernel = jacobian_kernel
+    field.formula, jacobian.formula = field_formula, jacobian_formula
     return DynamicalSystem(field=field, jacobian=jacobian, dim=dim)
 
 
 def full_system(p: Params) -> DynamicalSystem:
     """The full 5-D system packaged for the integrator."""
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system((_full_rhs, (C, D, E, F)), (_full_jac, (C, D, E)), 5)
+    return _formula_system((_full_rhs, (C, D, E, F)), (_full_jac, (C, D, E)), 5)
 
 
 def reduced_system(p: Params, K: float) -> DynamicalSystem:
@@ -350,4 +338,4 @@ def reduced_system(p: Params, K: float) -> DynamicalSystem:
         raise InvalidStateError(f"K is not finite: {K!r}")
     q = 1.0 + float(K) * float(K)  # a float, as Params stores its constants
     C, D, E, F = p.C, p.D, p.E, p.F
-    return _kernel_system((_reduced_rhs, (q, C, D, E, F)), (_reduced_jac, (q, C, D, E)), 3)
+    return _formula_system((_reduced_rhs, (q, C, D, E, F)), (_reduced_jac, (q, C, D, E)), 3)

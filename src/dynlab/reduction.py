@@ -26,7 +26,6 @@ __all__ = [
     "extract_k",
     "compare_full_vs_reduced",
     "k_drift",
-    "default_zero_tol",
 ]
 
 
@@ -49,7 +48,7 @@ class KDriftSeries:
     estimates: np.ndarray
 
 
-def default_zero_tol(y0) -> float:
+def _default_zero_tol(y0) -> float:
     """Zero threshold commensurate with default integration tolerances."""
     return 1e-9 * (1.0 + float(np.linalg.norm(y0)))
 
@@ -65,7 +64,7 @@ def extract_k(y0, zero_tol: float | None = None) -> KRatio:
     """
     y1, y2, y3, y4, y5 = _as_state(y0, 5)
     if zero_tol is None:
-        zero_tol = default_zero_tol(y0)
+        zero_tol = _default_zero_tol(y0)
     nsq = y1 * y1 + y2 * y2 + y3 * y3 + y4 * y4 + y5 * y5
     b = y1 * y5 - y2 * y4
     if abs(b) > zero_tol * (1.0 + nsq):
@@ -138,7 +137,7 @@ def k_drift(traj: Trajectory, zero_tol: float | None = None) -> KDriftSeries:
             f"full-system trajectory required, got dimension {traj.dimension}"
         )
     if zero_tol is None:
-        zero_tol = default_zero_tol(traj.states[0])
+        zero_tol = _default_zero_tol(traj.states[0])
     st = traj.states
     den = st[:, 0] ** 2 + st[:, 1] ** 2
     num = st[:, 0] * st[:, 3] + st[:, 1] * st[:, 4]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynlab.errors import DegenerateParametersError, InvalidStateError
-from dynlab.integrator import _columns
+from dynlab.integrator import _columns, _float_kernel
 from dynlab.model import (
     KRatio,
     Params,
@@ -351,8 +351,9 @@ def _system(p, name, value):
 
 
 class TestColumnKernels:
-    """Entry i of the column kernels (`integrator._columns`) of a block of
-    systems has the bits of member i's own kernels."""
+    """Column i of the column kernels (`integrator._columns`) of a block of
+    systems has the bits of member i's own float kernels
+    (`integrator._float_kernel`), for the field and for the Jacobian."""
 
     P = Params(C=-1.0, D=-0.7, E=-0.5, F=0.2)
 
@@ -369,8 +370,9 @@ class TestColumnKernels:
         assert f_cols.shape == (d, 6) and j_cols.shape == (d * d, 6)
         for i, system in enumerate(systems):
             y = states[i].tolist()
-            assert f_cols[:, i].tolist() == system.field.kernel(0.0, y)
-            assert j_cols[:, i].tolist() == system.jacobian.kernel(0.0, y)
+            for cols, member in ((f_cols, system.field), (j_cols, system.jacobian)):
+                want = np.array(_float_kernel(member)(0.0, y))
+                assert cols[:, i].tobytes() == want.tobytes()
 
     def test_none_without_one_shared_formula(self):
         full, reduced = full_system(self.P), reduced_system(self.P, 0.5)
@@ -399,7 +401,7 @@ class TestTypes:
         assert [type(v) for v in (p.C, p.D, p.E, p.F)] == [float] * 4
         assert (p.C, p.D, p.E, p.F) == (-1.0, 0.5, -2.0, 0.0)
         assert type(KRatio("standard", np.float64(0.5)).value) is float
-        field_constants = reduced_system(p, np.float64(0.5)).field.kernel.formula[1]
+        field_constants = reduced_system(p, np.float64(0.5)).field.formula[1]
         assert [type(v) for v in field_constants] == [float] * 5
         with pytest.raises(TypeError):
             Params(C="-1.0", D=0.0, E=1.0, F=0.0)
