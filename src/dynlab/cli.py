@@ -31,7 +31,8 @@ flags, its window and a reduced start for a K-scan, and E != 0 for
 equilibrium.  So a run that its command refuses exits 3, not 2, when its
 output directory cannot be written.  simulate and lyapunov run the reduced
 system from the projection of y0 when K is given, a K-scan scans from that
-projection, and the other commands use y0 as it is.
+projection, and the other commands use y0 as it is; building the reduced
+system refuses a K whose 1 + K^2 is not finite (exit 2).
 
 Exit codes: 0 success; 1 verify found a failed identity; 2 invalid config;
 3 unwritable output; 4 integration failure: blow-up, step budget spent or

@@ -46,9 +46,10 @@ renormed or both) through one loop (`_run_events`): it steps exactly onto
 each stop, records its state at a sampled one and, on a tangent run,
 re-orthonormalizes the frame and logs its stretches at a renormed one, so a
 failed run's partial results are what it recorded.  One routine
-(`_renorm_frames`) renormalizes a lone run's frame and a block's frames; it
-is the one step whose bits depend on LAPACK.  No dense interpolation
-is ever used, so sampled states carry only the integration error itself.
+(`_renorm_frames`, the one QR) renormalizes a lone run's frame and a block's
+frames; it is the one step whose bits depend on LAPACK.  No dense
+interpolation is ever used, so sampled states carry only the integration
+error itself.
 
 `integrate_tangent_block` is the one entry of spectrum runs, for one system
 or many on one schedule, and it chooses the route.  At least `_MIN_BATCH`
@@ -56,16 +57,18 @@ DP54 members whose fields share one formula, and whose Jacobians share one,
 advance together as one (d + d*d, n) array, one member a column, on column
 kernels of their own formula constants (`_columns`), each at its own stop of
 the schedule with its own time, step size, accept/reject, counters and
-budget.  The stages run over the block with the scalar stepper's expressions
-in the same order, each member's error norm is summed over its components in
-order, the controller runs per member on floats, and J*Q adds its products in
-`_jq`'s order, so every member that completes gets the bits of its own
-`integrate_with_tangents` run.  The block only succeeds: a member whose next
-attempt would fail (step budget spent, new state out of range, step below
-h_min, degenerate frame) is dropped, and it and any set the block cannot take
-run member by member through `integrate_with_tangents`, which builds every
-error and partial result.  A block iteration costs about as much at any n, so
-a block pays only from `_MIN_BATCH` members on.
+budget.  A member reaches its stop by the lone run's one test, t within snap
+of it, made in one place (`_reach_events`).  The stages run over the block
+with the scalar stepper's expressions in the same order, each member's error
+norm is summed over its components in order, the controller runs per member
+on floats, and J*Q adds its products in `_jq`'s order, so every member that
+completes gets the bits of its own `integrate_with_tangents` run.  The block
+only succeeds: a member whose next attempt would fail (step budget spent, new
+state out of range, step below h_min, degenerate frame) is dropped, and it
+and any set the block cannot take run member by member through
+`integrate_with_tangents`, which builds every error and partial result.  A
+block iteration costs about as much at any n, so a block pays only from
+`_MIN_BATCH` members on.
 
 A DP54 stage state that goes non-finite (RK4 tests no stage state: a
 non-finite one carries into its new state), or a new state
@@ -560,28 +563,19 @@ def integrate(field, y0, t0: float, t1: float, out_stride: float, cfg: Integrato
     return _run_events(stepper, events, y.size)[1]
 
 
-def _orthonormalize(frame: np.ndarray):
-    """QR-factorize with positive diagonal; returns (Q, per-column stretches).
-
-    Takes one d x d frame or a stack (..., d, d); LAPACK factors each matrix
-    of a stack on its own, so a stacked frame gets the bits of a lone one.
-    """
-    q, r = np.linalg.qr(frame)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs[..., None, :], np.abs(diag)
-
-
 def _renorm_frames(frames: np.ndarray):
-    """Re-orthonormalize a (k, d, d) stack of frames.
+    """Re-orthonormalize a (k, d, d) stack of frames by QR with a positive
+    diagonal; the stretches are the diagonal's magnitudes.
 
     Returns (Q, log stretches, full rank): the mask flags the frames with no
     zero stretch, and Q and the log rows, one per flagged frame in stack
-    order, are theirs.  Each row is logged on its own, so a stacked frame
-    gets the bits of a lone one.  This is the one step of a run whose bits
-    depend on LAPACK.
+    order, are theirs.  LAPACK factors each frame of the stack on its own and
+    each row is logged on its own, so a stacked frame gets the bits of a lone
+    one.  This is the one step of a run whose bits depend on LAPACK.
     """
-    q, stretches = _orthonormalize(frames)
+    q, r = np.linalg.qr(frames)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q, stretches = q * np.where(diag < 0.0, -1.0, 1.0)[:, None, :], np.abs(diag)
     full = np.all(stretches != 0.0, axis=1)
     return q[full], [np.log(row) for row in stretches[full]], full
 
@@ -719,12 +713,10 @@ class _Dp54Block:
         n = len(bundles0)
         d = self.d = bundles0[0].base.size
         self.n_ev = events.times.size
-        # Per stop k: its time and snap tolerance (a sentinel past the end
-        # keeps the lookups of finished members in range), and whether stop
-        # k+1 lies within snap of it, so that a run reaches it without a step.
+        # Per stop k: its time and snap tolerance, with a sentinel past the
+        # end that keeps the lookups of finished members in range.
         self.ev_t = np.append(events.times, math.inf)
         self.ev_snap = np.append(1e-13 * np.maximum(1.0, np.abs(events.times)), 0.0)
-        self.chained = self.ev_t[1:] - self.ev_t[:-1] <= self.ev_snap[1:]
 
         self.Y = np.stack([np.concatenate((b.base, b.frame.ravel())) for b in bundles0], axis=1)
         self.samples = np.empty((n, np.count_nonzero(events.sampled) + 1, d))
@@ -756,13 +748,16 @@ class _Dp54Block:
         J = np.array(self.jacobian(self.t, Y[:d])).reshape(d, d, -1)
         self.K1[d:, idx] = _jq_columns(J[:, :, idx], Y[d:, idx])
 
-    def _reach_events(self, idx: np.ndarray):
-        """Members idx stand at their next event: sample, renormalize, move on."""
-        while idx.size:
+    def _reach_events(self):
+        """Take each active member that stands within snap of its next stop,
+        the lone run's arrival test, to that stop: sample, renormalize, finish
+        at the last one; repeat until no member is left to take."""
+        d, ev_t, ev_snap = self.d, self.ev_t, self.ev_snap
+        while (idx := np.flatnonzero(self.active & (ev_t[self.ev] - self.t <= ev_snap[self.ev]))).size:
             e = self.ev[idx]
-            self.t[idx] = self.ev_t[e]
+            self.t[idx] = ev_t[e]
             i_s = idx[self.events.sampled[e]]
-            self.samples[i_s, self.n_samples[i_s]] = self.Y[: self.d, i_s].T
+            self.samples[i_s, self.n_samples[i_s]] = self.Y[:d, i_s].T
             self.n_samples[i_s] += 1
             renorm = self.events.renormed[e]
             if renorm.any():
@@ -770,7 +765,6 @@ class _Dp54Block:
             self.ev[idx] = e + 1
             for i in idx[e + 1 == self.n_ev].tolist():
                 if self.active[i]:
-                    d = self.d
                     bundle = TangentBundle(
                         base=self.Y[:d, i].copy(), frame=self.Y[d:, i].reshape(d, d).copy()
                     )
@@ -778,16 +772,15 @@ class _Dp54Block:
                         self.samples[i, : self.n_samples[i]], self.log_rows[i], self.taken[i], self.rejected[i]
                     )
                     self.active[i] = False
-            idx = idx[self.chained[e] & self.active[idx]]
 
     def run(self) -> list:
         cfg, Y, K1, t, active, d = self.cfg, self.Y, self.K1, self.t, self.active, self.d
         field, jacobian = self.field, self.jacobian
         atol, rtol = cfg.abs_tol, cfg.rel_tol
         K = [None, K1] + self.Ks  # K[s] holds stage s
-        self._reach_events(np.flatnonzero(self.ev_t[self.ev] - t <= self.ev_snap[self.ev]))
         with np.errstate(all="ignore"):
             while True:
+                self._reach_events()
                 active &= self.taken + self.rejected < cfg.max_steps
                 if not active.any():
                     return self.results
@@ -823,7 +816,6 @@ class _Dp54Block:
                 self.rejected += reject
                 np.copyto(self.h_prop, h_next, where=reject | (accept & ~capped))
                 active &= ~(reject & (self.h_prop < cfg.h_min))
-                self._reach_events(np.flatnonzero(accept & (target - t <= snap)))
 
 
 def _columns(callables):

@@ -337,5 +337,7 @@ def reduced_system(p: Params, K: float) -> DynamicalSystem:
     if not math.isfinite(K):
         raise InvalidStateError(f"K is not finite: {K!r}")
     q = 1.0 + float(K) * float(K)  # a float, as Params stores its constants
+    if not math.isfinite(q):  # |K| past about 1.34e154: the formulas would run on q = inf
+        raise InvalidStateError(f"1 + K^2 is not finite for K = {K!r}")
     C, D, E, F = p.C, p.D, p.E, p.F
     return _formula_system((_reduced_rhs, (q, C, D, E, F)), (_reduced_jac, (q, C, D, E)), 3)

@@ -49,8 +49,9 @@ class KDriftSeries:
 
 
 def _default_zero_tol(y0) -> float:
-    """Zero threshold commensurate with default integration tolerances."""
-    return 1e-9 * (1.0 + float(np.linalg.norm(y0)))
+    """Zero threshold commensurate with default integration tolerances; |y0|
+    by `math.hypot`, which takes no BLAS and does not overflow."""
+    return 1e-9 * (1.0 + math.hypot(*y0))
 
 
 def extract_k(y0, zero_tol: float | None = None) -> KRatio:

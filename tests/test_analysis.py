@@ -23,7 +23,7 @@ from dynlab.analysis import (
     parameter_scan,
     trace_average,
 )
-from dynlab.errors import IntegrationError
+from dynlab.errors import BlowUpError, IntegrationError
 from dynlab.integrator import IntegratorConfig, Trajectory, integrate
 from dynlab.model import (
     DynamicalSystem,
@@ -294,6 +294,23 @@ class TestParameterScan:
         fixed = parameter_scan(p, "C", values, "fixed", s)
         follow = parameter_scan(p, "C", values, "follow", s)
         assert [r.classification for r in fixed] == [r.classification for r in follow]
+
+    def test_follow_seeds_from_the_previous_completed_point(self):
+        """A follow scan starts each point from the terminal state of the last
+        point that completed: after F = 1e13 blows up, F = 0.1 starts from
+        F = 0's end, as in a follow scan of [0, 0.1], not from the seed."""
+        p = Params(C=-1.0, D=-1.0, E=-0.5, F=0.0)
+        s = self.settings(
+            [0.73, -0.4, 0.2, 0.33, 0.11], t_transient=5.0, t_total=20.0,
+            integrator=IntegratorConfig(abs_tol=1e-8, rel_tol=1e-8),
+        )
+        _, blown, after = parameter_scan(p, "F", [0.0, 1e13, 0.1], "follow", s)
+        assert blown.classification == "diverged"
+        assert isinstance(blown.error, BlowUpError) and blown.error.t == 0.001
+        _, want = parameter_scan(p, "F", [0.0, 0.1], "follow", s)
+        [fixed] = parameter_scan(p, "F", [0.1], "fixed", s)
+        assert_same_records([after], [want])
+        assert after.exponents.tobytes() != fixed.exponents.tobytes()
 
     def test_k_scan_uses_reduced_system(self):
         p = Params(C=-2.5, D=-1.0, E=-1.0, F=0.5)

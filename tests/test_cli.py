@@ -546,6 +546,26 @@ def test_rejected_config_creates_no_directory(tmp_path, capsys, args, name):
     assert not out.exists()
 
 
+K_SQUARE_OVERFLOW = ["--set", 'initial_state={"reduced": [0.1, 0.2, 0.0], "K": 1e200}']
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["simulate"] + K_SQUARE_OVERFLOW, id="simulate"),
+        pytest.param(["lyapunov"] + K_SQUARE_OVERFLOW, id="lyapunov"),
+        pytest.param(scan_argv("K", lo="0.0", hi="1e200"), id="K-scan"),
+    ],
+)
+def test_k_whose_square_overflows_creates_no_directory(tmp_path, capsys, args):
+    """A K whose 1 + K^2 passes the float range, with a finite lift, is
+    refused when its reduced system is built, before anything is written."""
+    out = tmp_path / "never"
+    assert main(args + ["--config", write_config(tmp_path, VALID), "--out", str(out)]) == 2
+    assert "1 + K^2 is not finite for K = 1e+200" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_that_is_not_an_object_creates_no_directory(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")

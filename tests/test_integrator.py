@@ -38,7 +38,6 @@ from dynlab.integrator import (
     _float_kernel,
     _formula_kernel,
     _mismatch,
-    _orthonormalize,
     _output_times,
     _renorm_frames,
     _run_events,
@@ -1453,7 +1452,8 @@ def _reference_events(t0: float, t1: float, renorm_interval: float, out_stride):
 
 def _reference_run(stepper, t0, t1, renorm_interval, out_stride, d):
     """The event loop of a tangent run as list appends over the reference
-    events, with a closure for the (partial) results."""
+    events, with a closure for the (partial) results; each renorm is one QR
+    with a positive diagonal."""
     event_times, renorm_set, sample_times, sample_set = _reference_events(
         t0, t1, renorm_interval, out_stride
     )
@@ -1484,7 +1484,9 @@ def _reference_run(stepper, t0, t1, renorm_interval, out_stride, d):
                 samples.append(stepper.y[:d])
             if te in renorm_set:
                 frame = np.array(stepper.y[d:]).reshape(d, d)
-                q, stretches = _orthonormalize(frame)
+                q, r = np.linalg.qr(frame)
+                stretches = np.abs(np.diag(r))
+                q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
                 if np.any(stretches == 0.0):
                     raise BlowUpError(
                         f"tangent frame degenerated at t = {te!r}",

@@ -255,6 +255,15 @@ class TestLift:
         with pytest.raises(InvalidStateError, match="K is not finite"):
             reduced_system(Params(-1.0, -1.0, -0.5, 0.0), bad)
 
+    @pytest.mark.parametrize("K", [1e155, -1e200, 1.7976931348623157e308])
+    def test_k_whose_square_overflows_rejected(self, K):
+        """K is finite and so is its lift, but 1 + K^2 is not: the reduced
+        formulas would run on q = inf, so the system is refused."""
+        assert np.all(np.isfinite(lift([0.1, 0.2, 0.0], K)))
+        with pytest.raises(InvalidStateError, match=r"1 \+ K\^2 is not finite"):
+            reduced_system(Params(-1.0, -1.0, -0.5, 0.0), K)
+        reduced_system(Params(-1.0, -1.0, -0.5, 0.0), 1e154)  # 1 + K^2 = 1e308
+
     def test_wrong_last_axis_rejected(self):
         for fn, dim in ((lift, 3), (project, 5)):
             for shape in ((), (dim - 1,), (dim + 1,), (4, dim + 2), (dim, 2)):

@@ -5,6 +5,8 @@ The oracle for manifold exactness is the conformality of the lifted field
 lifted-reduced trajectories agree to integration error.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,13 @@ class TestExtractK:
         k = extract_k(np.array([0.0, 0.0, -4.0, 0.0, 0.0]))
         assert k.kind == "zero-pair"
         assert k.value == 0.0
+
+    def test_start_whose_square_norm_overflows(self):
+        """|y0|^2 passes the float range and |y0| does not: the default zero
+        threshold is taken without an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extract_k([1e160, 2e160, 0.0, 3e160, 6e160]) == KRatio.standard(3.0)
 
     def test_not_on_limit_set(self):
         with pytest.raises(NotOnLimitSetError):
